@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build+tests, an ASan/UBSan pass over everything,
-# a ThreadSanitizer pass over the multi-threaded fuzzing paths, a
+# a ThreadSanitizer pass over the multi-threaded fuzzing paths, a relocate
+# stage (the golden fingerprint from a copy of the sources at another path), a
 # telemetry stage (smoke-test the observability surfaces + hot-path
 # overhead guard against a -DHEALER_NO_TELEMETRY baseline build), and a
 # parallel stage (scaling-bench smoke + critical-section-share guard), a
@@ -19,6 +20,7 @@
 #   scripts/check.sh tier1        # just the tier-1 verify
 #   scripts/check.sh asan         # just the ASan/UBSan stage
 #   scripts/check.sh tsan         # just the TSan stage
+#   scripts/check.sh relocate     # just the second-path golden fingerprint
 #   scripts/check.sh telemetry    # just the telemetry smoke + overhead guard
 #   scripts/check.sh parallel     # just the parallel scaling-bench guard
 #   scripts/check.sh fleet        # just the reactor-fleet scaling guards
@@ -54,6 +56,24 @@ run_tsan() {
   cmake -B build-tsan -S . -DHEALER_SANITIZE_THREAD=ON >/dev/null
   cmake --build build-tsan -j"$jobs" --target healer_tests
   ctest --test-dir build-tsan --output-on-failure -R parallel_fuzz_tsan
+}
+
+run_relocate() {
+  echo "==> relocate: golden fingerprint from a copy at a second path"
+  local tmp
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' RETURN
+  # Coverage ids hash __FILE__, which the build maps relative to the source
+  # root. A copy of the sources at a path no build has used must therefore
+  # run the same campaigns: the golden fingerprint must hold there too.
+  mkdir -p "$tmp/src-copy"
+  tar -cf - --exclude='./build' --exclude='./build-*' \
+    --exclude='./.bench_build' --exclude='./.git' . |
+    tar -xf - -C "$tmp/src-copy"
+  cmake -B "$tmp/build" -S "$tmp/src-copy" >/dev/null
+  cmake --build "$tmp/build" -j"$jobs" --target healer_tests
+  "$tmp/build/tests/healer_tests" \
+    --gtest_filter='CampaignTest.GoldenFingerprint*'
 }
 
 run_telemetry() {
@@ -491,6 +511,7 @@ case "$stage" in
   tier1) run_tier1 ;;
   asan)  run_asan ;;
   tsan)  run_tsan ;;
+  relocate) run_relocate ;;
   telemetry) run_telemetry ;;
   parallel) run_parallel ;;
   fleet) run_fleet ;;
@@ -500,8 +521,8 @@ case "$stage" in
   hotpath) run_hotpath ;;
   distributed) run_distributed ;;
   benchdiff) run_benchdiff ;;
-  all)   run_tier1; run_asan; run_tsan; run_telemetry; run_parallel; run_fleet; run_relation; run_exec; run_introspect; run_hotpath; run_distributed; run_benchdiff ;;
-  *) echo "usage: $0 [tier1|asan|tsan|telemetry|parallel|fleet|relation|exec|introspect|hotpath|distributed|benchdiff|all]" >&2; exit 2 ;;
+  all)   run_tier1; run_asan; run_tsan; run_relocate; run_telemetry; run_parallel; run_fleet; run_relation; run_exec; run_introspect; run_hotpath; run_distributed; run_benchdiff ;;
+  *) echo "usage: $0 [tier1|asan|tsan|relocate|telemetry|parallel|fleet|relation|exec|introspect|hotpath|distributed|benchdiff|all]" >&2; exit 2 ;;
 esac
 
 echo "==> all requested checks passed"
