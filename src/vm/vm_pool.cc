@@ -1,8 +1,10 @@
 #include "src/vm/vm_pool.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "src/base/hash.h"
+#include "src/base/logging.h"
 
 namespace healer {
 
@@ -113,57 +115,56 @@ void VmPool::OnLifecycleSettled(size_t lane, GuestVm* vm) {
   home.ready.push_back(vm);
 }
 
+GuestVm* VmPool::PopReady(size_t lane) {
+  Lane& home = *lanes_[lane];
+  std::lock_guard<std::mutex> lock(home.mu);
+  if (home.ready.empty()) {
+    return nullptr;
+  }
+  GuestVm* vm = home.ready.front();
+  home.ready.pop_front();
+  return vm;
+}
+
 GuestVm* VmPool::AcquireReady(size_t lane) {
   if (legacy_) {
     return vms_[lane].get();  // Pinned: one VM per lane.
   }
-  Lane& home = *lanes_[lane];
   const size_t s = shard_of_lane(lane);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(home.mu);
-      if (!home.ready.empty()) {
-        GuestVm* vm = home.ready.front();
-        home.ready.pop_front();
-        return vm;
-      }
+  Shard& shard = *shards_[s];
+  EventLoop& loop = *shard.loop;
+  for (;;) {
+    if (GuestVm* vm = PopReady(lane)) {
+      return vm;
     }
-    // Dry freelist: run whatever is already due at the shared clock.
-    PumpShard(s);
-    {
-      std::lock_guard<std::mutex> lock(home.mu);
-      if (!home.ready.empty()) {
-        GuestVm* vm = home.ready.front();
-        home.ready.pop_front();
-        return vm;
-      }
+    // Dry freelist: pump the shard ourselves. The pump lock is taken, not
+    // try-locked: a concurrent pumper may be mid-way through one of this
+    // lane's boots or reboots, and the freelist is only authoritative once
+    // it is done. Only guests with no transition in flight are handed out.
+    std::lock_guard<std::mutex> pump(shard.pump_mu);
+    loop.RunUntil(std::max(loop.now(), clock_->now()));
+    if (shard.journal != nullptr) {
+      shard.journal->Flush();
+    }
+    if (GuestVm* vm = PopReady(lane)) {
+      return vm;
     }
     // Still dry — every lane-mate is mid-boot or mid-reboot. Advance the
     // shared clock to the shard's next armed deadline (the fleet waits for
     // the *earliest* timer, which is what makes overlapped latencies cost
-    // their max) and pump again.
-    const SimClock::Nanos next = loops_[s]->NextDeadline();
+    // their max) and pump again on the next turn.
+    const SimClock::Nanos next = loop.NextDeadline();
     if (next == EventLoop::kNoDeadline) {
-      break;  // Nothing armed: the shard cannot produce a ready VM.
+      // Nothing can come back: every guest of the lane is checked out.
+      LOG_ERROR << "vm pool: every guest of lane " << lane
+                << " is checked out";
+      std::abort();
     }
     const SimClock::Nanos now = clock_->now();
     if (next > now) {
       clock_->Advance(next - now);
     }
-    PumpShard(s);
   }
-  {
-    std::lock_guard<std::mutex> lock(home.mu);
-    if (!home.ready.empty()) {
-      GuestVm* vm = home.ready.front();
-      home.ready.pop_front();
-      return vm;
-    }
-  }
-  // Last resort (e.g. another worker's pump consumed the deadline we were
-  // waiting on, or the lane's guests are all checked out): hand back the
-  // lane's first VM. Exec's inline boot/reboot keeps it usable.
-  return vms_[lane].get();
 }
 
 void VmPool::Release(size_t lane, GuestVm* vm) {

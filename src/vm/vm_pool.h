@@ -17,7 +17,8 @@
 //     costs one reboot latency of virtual time and zero extra OS threads.
 //
 // Workers pump shards cooperatively (PumpShard try-locks, so concurrent
-// pumpers never block each other); no shard owns a thread. The shared
+// pumpers never block each other, except that a worker with a dry lane
+// waits for the pump); no shard owns a thread. The shared
 // campaign SimClock only moves forward: a starved AcquireReady advances it
 // to the shard's next armed deadline, bridging worker time and reactor time.
 //
@@ -97,12 +98,14 @@ class VmPool {
 
   // Pops a ready VM from `lane`'s freelist. In legacy mode this returns the
   // lane's pinned VM unconditionally (no state inspection, no pumping — the
-  // historical path). In fleet mode a dry freelist pumps the owning shard,
-  // and if the shard is merely waiting on virtual time (every VM mid-boot
-  // or mid-reboot), advances the shared clock to its next armed deadline —
-  // the bridge that makes overlapping lifecycle latencies cost their max,
-  // not their sum. Falls back to the lane's first VM if the shard has
-  // nothing armed, so callers always get a guest.
+  // historical path). In fleet mode a dry freelist pumps the owning shard —
+  // waiting for a concurrent pumper rather than skipping it — and while the
+  // shard is merely waiting on virtual time (every VM mid-boot or
+  // mid-reboot), advances the shared clock to its next armed deadline: the
+  // bridge that makes overlapping lifecycle latencies cost their max, not
+  // their sum. Only guests with no lifecycle transition in flight are
+  // handed out, so a guest (and its resident program image) has one owner
+  // at a time.
   GuestVm* AcquireReady(size_t lane);
 
   // Returns a VM acquired from `lane`. Healthy guests rejoin the lane's
@@ -150,6 +153,8 @@ class VmPool {
   };
 
   size_t lane_of(size_t vm_index) const { return vm_index % num_lanes_; }
+  // Pops the front of `lane`'s freelist; nullptr when it is empty.
+  GuestVm* PopReady(size_t lane);
   // Routes a VM whose lifecycle transition just settled: healthy guests go
   // to their lane's freelist, down guests to their shard's parked list
   // (ringing the reboot doorbell).

@@ -419,6 +419,36 @@ TEST(FleetFuzzTest, ParallelFleetSmokeAndHealthReconciliation) {
   EXPECT_GT(result.monitor_lines, 0u);
 }
 
+// Four workers share one reactor shard, so a worker whose lane runs dry
+// must wait for another worker's pump instead of taking a guest whose boot
+// or reboot timer is still armed. Before AcquireReady waited, TSan saw the
+// pump's FinishBootTimer/FinishRebootTimer race the holder's Exec on the
+// control socket and the journal, and the heap was corrupted in some runs.
+TEST(FleetFuzzTest, SharedShardHandsOutOnlySettledGuests) {
+  for (const uint64_t seed : {uint64_t{11}, uint64_t{12}}) {
+    ParallelOptions options;
+    options.seed = seed;
+    options.num_workers = 4;
+    options.total_execs = 1200;
+    options.fleet_size = 256;
+    options.fleet_shards = 1;
+    options.journal_capacity = 2048;
+    options.fault_plan.set_rate(FaultKind::kVmCrash, 0.02);
+    options.fault_plan.set_rate(FaultKind::kBootFailure, 0.05);
+    const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
+
+    EXPECT_EQ(result.fuzz_execs, 1200u) << "seed " << seed;
+    ASSERT_EQ(result.fleet.size(), 1u);
+    EXPECT_EQ(result.fleet[0].vms, 256u);
+    uint64_t health_execs = 0;
+    for (const VmHealth& h : result.vm_health) {
+      health_execs += h.execs;
+    }
+    EXPECT_EQ(health_execs,
+              result.telemetry.counter("healer_vm_execs_total"));
+  }
+}
+
 TEST(FleetFuzzTest, LegacyTopologyIsUnchangedByFleetPlumbing) {
   // fleet_size 0 and fleet_size == num_workers must both resolve to the
   // pinned one-VM-per-worker topology (parallel campaigns are
