@@ -237,7 +237,7 @@ run_relation() {
 }
 
 run_exec() {
-  echo "==> exec: ring-transport replay bench + speedup guard"
+  echo "==> exec: ring-transport replay bench, speedup guard, mask replays"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$jobs" --target bench_exec_replay healer_tests
   local tmp
@@ -258,8 +258,12 @@ run_exec() {
     "$tmp/BENCH_exec_replay.json"
   # Transport equivalence: fixed-seed ring campaigns must stay bit-identical
   # to their legacy twins (the differential that licenses the fast path).
+  # Call-mask replays of the resident image must be draw-identical to
+  # shipping every probe whole: SelectCalls against RemoveCall, masked
+  # against materialized executions on both transports, the analysis
+  # against its clone+RemoveCall reference, and the hostile-mask suite.
   ctest --test-dir build --output-on-failure \
-    -R 'RingTransport|PipelinedRing'
+    -R 'RingTransport|PipelinedRing|SelectCalls|Mask(Replay|Transport|Analysis|Binding|Hostile|FaultHostile)'
 }
 
 run_introspect() {

@@ -37,12 +37,18 @@ uint64_t Executor::ResolveResource(
   if (arg.res_ref < 0) {
     return arg.val;
   }
+  // A reference to a dropped or out-of-range call reads like the degraded
+  // reference RemoveCall would have left behind: the special value.
   const size_t ref = static_cast<size_t>(arg.res_ref);
-  if (ref >= done.size() || !done[ref].executed ||
-      static_cast<size_t>(arg.res_slot) >= done[ref].slot_values.size()) {
+  if (ref >= pos_.size() || pos_[ref] < 0) {
     return SpecialValueOf(arg.type);
   }
-  return done[ref].slot_values[static_cast<size_t>(arg.res_slot)];
+  const CallExecInfo& producer = done[static_cast<size_t>(pos_[ref])];
+  if (!producer.executed ||
+      static_cast<size_t>(arg.res_slot) >= producer.slot_values.size()) {
+    return SpecialValueOf(arg.type);
+  }
+  return producer.slot_values[static_cast<size_t>(arg.res_slot)];
 }
 
 uint64_t Executor::StoreArg(Kernel& kernel, const Arg& arg,
@@ -171,25 +177,42 @@ void CollectOutResourceAddrs(const Arg& arg, bool out_ctx, uint64_t base,
 }  // namespace
 
 ExecResult Executor::Run(const Prog& prog, Bitmap* global_coverage) {
+  return Replay(prog, nullptr, global_coverage);
+}
+
+ExecResult Executor::RunMasked(const Prog& prog, const CallMask& keep,
+                               Bitmap* global_coverage) {
+  return Replay(prog, keep.data(), global_coverage);
+}
+
+ExecResult Executor::Replay(const Prog& prog, const uint8_t* keep,
+                            Bitmap* global_coverage) {
   ++execs_;
+  pos_.resize(prog.size());
+  int kept = 0;
+  for (size_t ci = 0; ci < prog.size(); ++ci) {
+    pos_[ci] = keep == nullptr || keep[ci] != 0 ? kept++ : -1;
+  }
   ExecResult result;
-  result.calls.resize(prog.size());
+  result.calls.resize(static_cast<size_t>(kept));
 
   mem_.Reset();
   Kernel kernel(config_, &mem_);
 
   for (size_t ci = 0; ci < prog.size(); ++ci) {
+    if (pos_[ci] < 0) {
+      continue;
+    }
+    const size_t at = static_cast<size_t>(pos_[ci]);
     const Call& call = prog.calls()[ci];
-    CallExecInfo& info = result.calls[ci];
+    CallExecInfo& info = result.calls[at];
     const SyscallDef* def = handlers_[static_cast<size_t>(call.meta->id)];
 
-    // Evaluate arguments (allocates and fills guest memory). Remember the
-    // evaluated pointer values of top-level args for out-extraction.
+    // Evaluate arguments (allocates and fills guest memory); the evaluated
+    // words double as the top-level pointer values for out-extraction.
     uint64_t args[6] = {0, 0, 0, 0, 0, 0};
-    std::vector<uint64_t> top_ptr_values(call.args.size(), 0);
     for (size_t ai = 0; ai < call.args.size() && ai < 6; ++ai) {
       args[ai] = EvalArg(kernel, *call.args[ai], result.calls);
-      top_ptr_values[ai] = args[ai];
     }
 
     cov_.Reset();
@@ -230,40 +253,76 @@ ExecResult Executor::Run(const Prog& prog, Bitmap* global_coverage) {
         info.slot_values[0] = static_cast<uint64_t>(ret);
         // Walk top-level out pointers, reading resource values at their
         // stored offsets.
-        std::vector<uint64_t> addrs;
+        out_addrs_.clear();
         for (size_t ai = 0; ai < call.args.size(); ++ai) {
           const Arg& arg = *call.args[ai];
           if (arg.kind == ArgKind::kPointer && arg.pointee != nullptr &&
               arg.type != nullptr &&
               (arg.type->dir == Dir::kOut || arg.type->dir == Dir::kInOut)) {
-            CollectOutResourceAddrs(*arg.pointee, true, top_ptr_values[ai],
-                                    &addrs);
+            CollectOutResourceAddrs(*arg.pointee, true,
+                                    ai < 6 ? args[ai] : 0, &out_addrs_);
           }
         }
-        for (size_t si = 0; si < addrs.size() && 1 + si <= max_slot; ++si) {
+        for (size_t si = 0; si < out_addrs_.size() && 1 + si <= max_slot;
+             ++si) {
           uint64_t value = SpecialValueOf(nullptr);
-          kernel.mem().Read64(addrs[si], &value);
+          kernel.mem().Read64(out_addrs_[si], &value);
           info.slot_values[1 + si] = value;
         }
       }
     }
 
     if (kernel.crashed()) {
-      result.crash = CrashInfo{kernel.crash().bug, kernel.crash().title, ci};
+      result.crash = CrashInfo{kernel.crash().bug, kernel.crash().title, at};
       break;
     }
   }
   return result;
 }
 
+void Executor::DropImage() {
+  image_ = Prog();
+  has_image_ = false;
+}
+
+Status Executor::LoadImage(const uint8_t* data, size_t size) {
+  DropImage();
+  image_arena_.Reset();
+  Result<Prog> prog = DeserializeProg(target_, data, size, &image_arena_);
+  if (!prog.ok()) {
+    return prog.status();
+  }
+  image_ = std::move(*prog);
+  image_digest_ = ImageDigest(data, size);
+  has_image_ = true;
+  return OkStatus();
+}
+
 ExecResult Executor::RunSerialized(const uint8_t* data, size_t size,
                                    Bitmap* global_coverage) {
-  Result<Prog> prog = DeserializeProg(target_, data, size);
-  if (!prog.ok()) {
-    LOG_WARNING << "executor: bad program: " << prog.status().ToString();
+  if (!IsMaskRequest(data, size)) {
+    const Status loaded = LoadImage(data, size);
+    if (!loaded.ok()) {
+      LOG_WARNING << "executor: bad program: " << loaded.ToString();
+      return ExecResult{};
+    }
+    return Replay(image_, nullptr, global_coverage);
+  }
+  Result<MaskRequest> request = DecodeMaskRequest(data, size);
+  Status status = request.status();
+  if (status.ok() && request->image != nullptr) {
+    status = LoadImage(request->image, request->image_size);
+  }
+  if (status.ok() && (!has_image_ || image_digest_ != request->digest ||
+                      image_.size() != request->calls)) {
+    status = ParseError("mask names an image this guest does not hold");
+  }
+  if (!status.ok()) {
+    DropImage();
+    LOG_WARNING << "executor: bad mask request: " << status.ToString();
     return ExecResult{};
   }
-  return Run(*prog, global_coverage);
+  return Replay(image_, request->keep, global_coverage);
 }
 
 }  // namespace healer

@@ -104,6 +104,16 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
     }
     info.ring_stalls = snap.counter("healer_ring_stalls_total");
     info.lock_held_share = snap.gauge("healer_parallel_lock_held_share");
+    if (info.execs > 0) {
+      const double execs = static_cast<double>(info.execs);
+      info.probes_per_exec =
+          static_cast<double>(snap.counter("healer_exec_analysis_total")) /
+          execs;
+      info.images_per_exec =
+          static_cast<double>(
+              snap.counter("healer_exec_images_shipped_total")) /
+          execs;
+    }
     return info;
   };
   auto emit_status = [&] {

@@ -90,9 +90,9 @@ Fuzzer::Fuzzer(const Target& target, FuzzerOptions options)
                EnabledSyscalls(target,
                                KernelConfig::ForVersion(options.version)),
                &rng_),
-      minimizer_(AnalysisExec()),
-      learner_(nullptr, AnalysisExec(), &clock_),
-      reproducer_(AnalysisExec()) {
+      minimizer_(ProbeExec()),
+      learner_(nullptr, ProbeExec(), &clock_),
+      reproducer_(ProbeExec()) {
   builder_.set_arena(&arena_);
   for (size_t i = 0; i < pool_.size(); ++i) {
     pool_.vm(i).set_journal(&journal_writer_);
@@ -126,22 +126,24 @@ Fuzzer::Fuzzer(const Target& target, FuzzerOptions options)
       options_.tool == ToolKind::kMoonshine) {
     choice_table_ = std::make_unique<ChoiceTable>(target_, builder_.enabled());
   }
-  learner_ = DynamicLearner(relations_.get(), AnalysisExec(), &clock_);
+  learner_ = DynamicLearner(relations_.get(), ProbeExec(), &clock_);
   if (options_.tool == ToolKind::kMoonshine) {
     LoadMoonshineSeeds();
   }
   journal_writer_.Flush();
 }
 
-ExecFn Fuzzer::AnalysisExec() {
-  // Analysis runs (minimization / dynamic learning) execute on the VM fleet
-  // and consume simulated time, but do not merge into campaign coverage.
-  // They go through the same recovery policy as fuzzing executions; a
-  // still-failed result reaches the minimizer/learner as a typed failure,
-  // which both treat as "no information".
-  return [this](const Prog& prog) {
+MaskExecFn Fuzzer::ProbeExec() {
+  // Analysis runs (minimization / dynamic learning / crash reproduction)
+  // are call masks over the program the fuzzing execution just shipped:
+  // they execute on the VM fleet and consume simulated time, but do not
+  // merge into campaign coverage. They go through the same recovery policy
+  // as fuzzing executions; a still-failed result reaches the
+  // minimizer/learner as a typed failure, which both treat as "no
+  // information".
+  return [this](const ProgImage& base, const CallMask& keep) {
     m_.analysis_execs->Add();
-    return ExecWithRecovery(prog, nullptr);
+    return ExecWithRecovery(base, &keep, nullptr);
   };
 }
 
@@ -165,8 +167,14 @@ void Fuzzer::ReleaseFuzzVm(size_t lane, GuestVm* vm) {
   }
 }
 
-ExecResult Fuzzer::ExecWithRecovery(const Prog& prog, Bitmap* coverage) {
+ExecResult Fuzzer::ExecWithRecovery(const ProgImage& image,
+                                    const CallMask* keep, Bitmap* coverage) {
   HEALER_TRACE_SPAN(&trace_, &clock_, "exec", "vm");
+  // Length of the program that runs, for the journal.
+  const size_t len =
+      keep == nullptr ? image.prog().size()
+                      : static_cast<size_t>(
+                            std::count(keep->begin(), keep->end(), 1));
   SimClock::Nanos backoff = options_.recovery.backoff;
   int attempt = 0;
   while (true) {
@@ -175,8 +183,8 @@ ExecResult Fuzzer::ExecWithRecovery(const Prog& prog, Bitmap* coverage) {
     GuestVm& vm = *vm_ptr;
     m_.exec_attempts->Add();
     ExecResult result = options_.transport == ExecTransport::kRing
-                            ? vm.ExecRingOne(prog, coverage)
-                            : vm.Exec(prog, coverage);
+                            ? vm.ExecRingOne(image, keep, coverage)
+                            : vm.Exec(image, keep, coverage);
     if (!result.Failed()) {
       ReleaseFuzzVm(lane, vm_ptr);
       m_.exec_ok->Add();
@@ -184,14 +192,14 @@ ExecResult Fuzzer::ExecWithRecovery(const Prog& prog, Bitmap* coverage) {
         m_.exec_recovered->Add();
         // Payload: a = retries it took, b = program length.
         journal_writer_.Record(JournalKind::kRecovery, clock_.now(),
-                               static_cast<uint64_t>(attempt), prog.size());
+                               static_cast<uint64_t>(attempt), len);
       }
       return result;
     }
     m_.exec_failed->Add();
     // Payload: a = attempt index, b = program length.
     journal_writer_.Record(JournalKind::kFault, clock_.now(),
-                           static_cast<uint64_t>(attempt), prog.size(), 0,
+                           static_cast<uint64_t>(attempt), len, 0,
                            ExecFailureName(result.failure));
     if (vm.consecutive_failures() >= options_.recovery.quarantine_threshold) {
       vm.QuarantineReboot();
@@ -269,7 +277,8 @@ void Fuzzer::SeedWith(const std::vector<Prog>& seeds) {
     if (seed.empty() || !seed.Validate().ok()) {
       continue;
     }
-    const ExecResult result = ExecWithRecovery(seed, &coverage_);
+    const ProgImage image(seed);
+    const ExecResult result = ExecWithRecovery(image, nullptr, &coverage_);
     ++fuzz_execs_;
     m_.fuzz_execs->Add();
     m_.seeded->Add();
@@ -286,7 +295,7 @@ void Fuzzer::SeedWith(const std::vector<Prog>& seeds) {
     if (result.TotalNewEdges() > 0) {
       m_.exec_new_edges->Observe(result.TotalNewEdges());
     }
-    ProcessFeedback(seed, result);
+    ProcessFeedback(image, result);
     journal_writer_.Flush();
   }
 }
@@ -328,7 +337,8 @@ void Fuzzer::Step() {
     return;
   }
 
-  const ExecResult result = ExecWithRecovery(prog, &coverage_);
+  const ProgImage image(prog);
+  const ExecResult result = ExecWithRecovery(image, nullptr, &coverage_);
   ++fuzz_execs_;
   m_.fuzz_execs->Add();
   (generate ? m_.generated : m_.mutated)->Add();
@@ -361,12 +371,13 @@ void Fuzzer::Step() {
       HEALER_TRACE_INSTANT(&trace_, &clock_, "alpha-update", "alpha");
     }
   }
-  ProcessFeedback(prog, result);
+  ProcessFeedback(image, result);
   journal_writer_.Flush();
 }
 
-void Fuzzer::ProcessFeedback(const Prog& prog, const ExecResult& result) {
-  current_prog_ = &prog;
+void Fuzzer::ProcessFeedback(const ProgImage& image,
+                             const ExecResult& result) {
+  current_prog_ = &image.prog();
   if (result.Crashed()) {
     m_.crash_reports->Add();
     // Payload: a = bug id, b = fuzz-exec index, c = crashing call index.
@@ -387,7 +398,7 @@ void Fuzzer::ProcessFeedback(const Prog& prog, const ExecResult& result) {
       m_.crash_new->Add();
       HEALER_TRACE_INSTANT(&trace_, &clock_, "new-crash", "crash");
       std::optional<CrashRepro> repro =
-          reproducer_.Minimize(prog, result.crash->bug);
+          reproducer_.Minimize(image, result.crash->bug);
       if (repro.has_value()) {
         crash_db_.Record(result.crash->bug, result.crash->title, clock_.now(),
                          fuzz_execs_, repro->prog.size());
@@ -409,7 +420,7 @@ void Fuzzer::ProcessFeedback(const Prog& prog, const ExecResult& result) {
   std::vector<MinimizedSeq> minimized;
   {
     HEALER_TRACE_SPAN(&trace_, &clock_, "minimize", "analysis");
-    minimized = minimizer_.Minimize(prog, result);
+    minimized = minimizer_.Minimize(image, result);
   }
   m_.minimize_rounds->Add();
   const uint64_t min_probes = minimizer_.execs_used() - min_before;
@@ -427,7 +438,7 @@ void Fuzzer::ProcessFeedback(const Prog& prog, const ExecResult& result) {
       size_t staged = 0;
       {
         HEALER_TRACE_SPAN(&trace_, &clock_, "learn", "analysis");
-        staged = learner_.LearnInto(seq.prog, &delta);
+        staged = learner_.LearnInto(image, seq.keep, &delta);
       }
       m_.learn_rounds->Add();
       const uint64_t learn_probes = learner_.execs_used() - learn_before;

@@ -165,14 +165,16 @@ class Fuzzer {
 
  private:
   CallChooser MakeChooser(bool* used_table);
-  ExecFn AnalysisExec();
-  // Executes `prog` under the recovery policy: bounded retry with
-  // exponential backoff across the pool, quarantine-rebooting VMs whose
-  // consecutive-failure streak crosses the threshold. Returns the last
-  // attempt's result; a still-failed result means the program's feedback
-  // must be discarded.
-  ExecResult ExecWithRecovery(const Prog& prog, Bitmap* coverage);
-  void ProcessFeedback(const Prog& prog, const ExecResult& result);
+  // The probe binding of the minimizer, learner and reproducer.
+  MaskExecFn ProbeExec();
+  // Executes the calls of `image` that `keep` marks (nullptr: all) under the
+  // recovery policy: bounded retry with exponential backoff across the
+  // pool, quarantine-rebooting VMs whose consecutive-failure streak crosses
+  // the threshold. Returns the last attempt's result; a still-failed result
+  // means the program's feedback must be discarded.
+  ExecResult ExecWithRecovery(const ProgImage& image, const CallMask* keep,
+                              Bitmap* coverage);
+  void ProcessFeedback(const ProgImage& image, const ExecResult& result);
   void LoadMoonshineSeeds();
   // CrashDb on_new_crash hook target: assembles and writes one postmortem
   // bundle for a previously-unseen bug (see postmortem.h).
@@ -208,7 +210,7 @@ class Fuzzer {
   // Region allocator for Step-scoped candidate programs; reset at the top
   // of every Step. Declared before builder_ (which borrows it) so the
   // builder is torn down first. Programs that survive into the corpus are
-  // heap clones produced by the minimizer.
+  // heap copies selected by the minimizer.
   ProgArena arena_;
   ProgBuilder builder_;
   Minimizer minimizer_;

@@ -13,6 +13,11 @@
 // single-threaded convenience that applies the delta immediately. Known
 // pairs are skipped by consulting the table's immutable snapshot plus the
 // pending delta — the learner never takes the table's write lock to read.
+//
+// The minimized sequence is a keep mask over the program the fuzzing
+// execution ran, and every probe is that mask with one more call dropped
+// (see minimizer.h); a sequence given as a plain Prog is its own all-kept
+// base.
 
 #ifndef SRC_FUZZ_LEARNER_H_
 #define SRC_FUZZ_LEARNER_H_
@@ -25,8 +30,10 @@ namespace healer {
 
 class DynamicLearner {
  public:
-  DynamicLearner(RelationTable* table, ExecFn exec, const SimClock* clock)
+  DynamicLearner(RelationTable* table, MaskExecFn exec, const SimClock* clock)
       : table_(table), exec_(std::move(exec)), clock_(clock) {}
+  DynamicLearner(RelationTable* table, ExecFn exec, const SimClock* clock)
+      : DynamicLearner(table, MaterializingExec(std::move(exec)), clock) {}
 
   // Runs Algorithm 2 on one minimized sequence and applies the resulting
   // delta to the table; returns the number of new relations learned.
@@ -37,12 +44,15 @@ class DynamicLearner {
   // Pairs already in the snapshot or in `delta` are not re-probed, so a
   // worker's batch never pays twice for the same pair.
   size_t LearnInto(const Prog& minimized, RelationDelta* delta);
+  // The same for the sequence `keep` selects from `base`.
+  size_t LearnInto(const ProgImage& base, const CallMask& keep,
+                   RelationDelta* delta);
 
   uint64_t execs_used() const { return execs_used_; }
 
  private:
   RelationTable* table_;
-  ExecFn exec_;
+  MaskExecFn exec_;
   const SimClock* clock_;
   uint64_t execs_used_ = 0;
 };

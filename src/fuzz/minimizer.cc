@@ -1,12 +1,20 @@
 #include "src/fuzz/minimizer.h"
 
-#include <numeric>
+#include <algorithm>
 
 namespace healer {
 
-std::vector<MinimizedSeq> Minimizer::Minimize(const Prog& prog,
+MaskExecFn MaterializingExec(ExecFn exec) {
+  return [exec = std::move(exec)](const ProgImage& base,
+                                  const CallMask& keep) {
+    return exec(SelectCalls(base.prog(), keep));
+  };
+}
+
+std::vector<MinimizedSeq> Minimizer::Minimize(const ProgImage& image,
                                               const ExecResult& baseline) {
   std::vector<MinimizedSeq> out;
+  const Prog& prog = image.prog();
   const size_t len = prog.size();
   if (len == 0 || baseline.calls.size() < len) {
     return out;
@@ -22,18 +30,17 @@ std::vector<MinimizedSeq> Minimizer::Minimize(const Prog& prog,
     reserved[ii] = true;
     const uint64_t target_signal = baseline.calls[ii].signal;
 
-    Prog cur = prog.Clone();
-    cur.Truncate(ii + 1);
-    std::vector<size_t> orig(ii + 1);
-    std::iota(orig.begin(), orig.end(), 0);
-    size_t last = ii;  // Target call's index within `cur`.
+    // The prefix ending at the target; calls after it stay dropped.
+    CallMask keep(len, 0);
+    std::fill(keep.begin(), keep.begin() + static_cast<long>(ii) + 1, 1);
+    size_t last = ii;  // Target call's index among the kept calls.
 
-    // Lines 9-17: try removing each call before the target.
-    for (size_t jj = last; jj-- > 0;) {
-      Prog cand = cur.Clone();
-      cand.RemoveCall(jj);
+    // Lines 9-17: try removing each call before the target. Removals only
+    // happen above jj, so call jj is still the jj-th kept call.
+    for (size_t jj = ii; jj-- > 0;) {
+      keep[jj] = 0;
       ++execs_used_;
-      const ExecResult res = exec_(cand);
+      const ExecResult res = exec_(image, keep);
       const size_t cand_last = last - 1;
       // A faulted probe is treated as "coverage not preserved": the call is
       // conservatively kept rather than trusting a failed execution.
@@ -42,16 +49,16 @@ std::vector<MinimizedSeq> Minimizer::Minimize(const Prog& prog,
           res.calls[cand_last].executed &&
           res.calls[cand_last].signal == target_signal;
       if (preserved) {
-        cur = std::move(cand);
-        orig.erase(orig.begin() + static_cast<long>(jj));
         last = cand_last;
       } else {
         // The call is load-bearing: reserve it so it isn't re-extracted as
         // its own minimal sequence.
-        reserved[orig[jj]] = true;
+        keep[jj] = 1;
+        reserved[jj] = true;
       }
     }
-    out.push_back(MinimizedSeq{std::move(cur), last, target_signal});
+    out.push_back(MinimizedSeq{SelectCalls(prog, keep), last, target_signal,
+                               std::move(keep)});
   }
   return out;
 }

@@ -6,6 +6,12 @@
 // keeping a removal only when the target call's per-call coverage signal is
 // preserved. The result is a set of independent, non-repetitive minimal
 // sequences — the inputs to dynamic relation learning and the corpus.
+//
+// Every probe is a call mask over the program the fuzzing execution ran
+// (MaskExecFn): the guest that already holds that program replays it with
+// the masked calls skipped, so a probe ships a few bytes instead of a
+// program (DESIGN.md §5). An ExecFn that runs whole programs still works:
+// it is adapted by materializing each mask with SelectCalls.
 
 #ifndef SRC_FUZZ_MINIMIZER_H_
 #define SRC_FUZZ_MINIMIZER_H_
@@ -15,6 +21,7 @@
 
 #include "src/exec/exec_result.h"
 #include "src/prog/prog.h"
+#include "src/prog/serialize.h"
 
 namespace healer {
 
@@ -23,28 +30,46 @@ namespace healer {
 // analysis, not exploration).
 using ExecFn = std::function<ExecResult(const Prog&)>;
 
+// Executes the calls of `base` that `keep` marks, with the result of
+// SelectCalls(base.prog(), keep). The same no-merge rule applies.
+using MaskExecFn =
+    std::function<ExecResult(const ProgImage& base, const CallMask& keep)>;
+
+// The adapter behind the ExecFn constructors: materializes each mask and
+// runs the selected program through `exec`.
+MaskExecFn MaterializingExec(ExecFn exec);
+
 struct MinimizedSeq {
+  // The selected program, materialized once for the corpus.
   Prog prog;
   // Index of the new-coverage call within `prog`.
   size_t target_index = 0;
   // That call's coverage signal in the original execution.
   uint64_t target_signal = 0;
+  // The calls of the minimized program that `prog` keeps.
+  CallMask keep;
 };
 
 class Minimizer {
  public:
-  explicit Minimizer(ExecFn exec) : exec_(std::move(exec)) {}
+  explicit Minimizer(MaskExecFn exec) : exec_(std::move(exec)) {}
+  explicit Minimizer(ExecFn exec)
+      : Minimizer(MaterializingExec(std::move(exec))) {}
 
   // `baseline` must be the ExecResult of `prog` with per-call new_edges
   // filled in (i.e. executed against the campaign-global bitmap).
-  std::vector<MinimizedSeq> Minimize(const Prog& prog,
+  std::vector<MinimizedSeq> Minimize(const ProgImage& prog,
                                      const ExecResult& baseline);
+  std::vector<MinimizedSeq> Minimize(const Prog& prog,
+                                     const ExecResult& baseline) {
+    return Minimize(ProgImage(prog), baseline);
+  }
 
   // Total executions spent in minimization since construction.
   uint64_t execs_used() const { return execs_used_; }
 
  private:
-  ExecFn exec_;
+  MaskExecFn exec_;
   uint64_t execs_used_ = 0;
 };
 

@@ -263,9 +263,11 @@ class Worker {
         for (RingCompletion& completion : completions) {
           const PendingExec& p =
               pending[pending_of[static_cast<size_t>(completion.tag)]];
-          const ExecResult result = RetryTail(p.prog, &shared_->coverage,
-                                              std::move(completion.result));
-          urgent |= HandleFeedback(p, result);
+          const ProgImage image(p.prog);
+          const ExecResult result =
+              RetryTail(image, nullptr, &shared_->coverage,
+                        std::move(completion.result));
+          urgent |= HandleFeedback(p, image, result);
         }
         ReleaseVm();
       }
@@ -279,12 +281,15 @@ class Worker {
     PumpLaneShard();
   }
 
-  // One execution on this worker's VM, routed by transport: the pipelined
-  // path (pipeline_depth > 1) keeps retries and analysis probes on the ring
-  // so a worker uses exactly one transport for its whole campaign.
-  ExecResult ExecOne(const Prog& prog, Bitmap* coverage) {
-    return options_.pipeline_depth > 1 ? vm_->ExecRingOne(prog, coverage)
-                                       : vm_->Exec(prog, coverage);
+  // One execution of the calls of `image` that `keep` marks (nullptr: all)
+  // on this worker's VM, routed by transport: the pipelined path
+  // (pipeline_depth > 1) keeps retries and analysis probes on the ring so a
+  // worker uses exactly one transport for its whole campaign.
+  ExecResult ExecOne(const ProgImage& image, const CallMask* keep,
+                     Bitmap* coverage) {
+    return options_.pipeline_depth > 1
+               ? vm_->ExecRingOne(image, keep, coverage)
+               : vm_->Exec(image, keep, coverage);
   }
 
   // The recovery tail shared by both transports: takes the result of an
@@ -293,8 +298,8 @@ class Worker {
   // once, which keeps the per-VM infra_faults counters and the
   // recovery-side failed_execs in agreement — including ring completions
   // that failed inside a batched drain.
-  ExecResult RetryTail(const Prog& prog, Bitmap* coverage,
-                       ExecResult result) {
+  ExecResult RetryTail(const ProgImage& image, const CallMask* keep,
+                       Bitmap* coverage, ExecResult result) {
     int attempt = 0;
     while (result.Failed()) {
       m_.exec_failed->Add();
@@ -310,7 +315,7 @@ class Worker {
       ++attempt;
       m_.exec_retries->Add();
       m_.exec_attempts->Add();
-      result = ExecOne(prog, coverage);
+      result = ExecOne(image, keep, coverage);
     }
     m_.exec_ok->Add();
     if (attempt > 0) {
@@ -319,10 +324,11 @@ class Worker {
     return result;
   }
 
-  ExecResult ExecWithRecovery(const Prog& prog, Bitmap* coverage) {
+  ExecResult ExecWithRecovery(const ProgImage& image, const CallMask* keep,
+                              Bitmap* coverage) {
     TraceSpan span(&shared_->trace, sim_clock_, "exec", "vm", tid_);
     m_.exec_attempts->Add();
-    return RetryTail(prog, coverage, ExecOne(prog, coverage));
+    return RetryTail(image, keep, coverage, ExecOne(image, keep, coverage));
   }
 
   // One claimed exec slot: the built program plus the selection context the
@@ -385,9 +391,10 @@ class Worker {
       return false;
     }
     AcquireVm();
+    const ProgImage image(pending.prog);
     const ExecResult result =
-        ExecWithRecovery(pending.prog, &shared_->coverage);
-    const bool urgent = HandleFeedback(pending, result);
+        ExecWithRecovery(image, nullptr, &shared_->coverage);
+    const bool urgent = HandleFeedback(pending, image, result);
     ReleaseVm();
     return urgent;
   }
@@ -395,8 +402,8 @@ class Worker {
   // Back half of one iteration: feedback processing for a recovered (or
   // finally-failed) result. Returns true if the batch should publish
   // immediately (new coverage or a crash).
-  bool HandleFeedback(const PendingExec& pending, const ExecResult& result) {
-    const Prog& prog = pending.prog;
+  bool HandleFeedback(const PendingExec& pending, const ProgImage& image,
+                      const ExecResult& result) {
     const uint64_t ticket = pending.ticket;
     const bool used_table = pending.used_table;
     if (result.Failed()) {
@@ -425,22 +432,19 @@ class Worker {
     if (!gained) {
       return urgent;
     }
-    // Analysis probes go through the same recovery accounting as fuzzing
+    // Analysis probes are call masks over the program this worker's guest
+    // just ran. They go through the same recovery accounting as fuzzing
     // executions; a still-failed probe reaches the minimizer/learner as a
     // typed failure, which both treat as "no information". Probes pass a
     // null bitmap, so they never perturb campaign coverage.
-    Minimizer minimizer([this](const Prog& p) {
+    const MaskExecFn probe = [this](const ProgImage& base,
+                                    const CallMask& keep) {
       m_.analysis_execs->Add();
-      return ExecWithRecovery(p, nullptr);
-    });
-    DynamicLearner learner(
-        &shared_->relations,
-        [this](const Prog& p) {
-          m_.analysis_execs->Add();
-          return ExecWithRecovery(p, nullptr);
-        },
-        &clock_);
-    std::vector<MinimizedSeq> minimized = minimizer.Minimize(prog, result);
+      return ExecWithRecovery(base, &keep, nullptr);
+    };
+    Minimizer minimizer(probe);
+    DynamicLearner learner(&shared_->relations, probe, &clock_);
+    std::vector<MinimizedSeq> minimized = minimizer.Minimize(image, result);
     m_.minimize_rounds->Add();
     m_.minimize_probes->Add(minimizer.execs_used());
     m_.minimize_execs->Observe(minimizer.execs_used());
@@ -449,7 +453,7 @@ class Worker {
         const uint64_t learn_before = learner.execs_used();
         // Edges accumulate in the batch delta; the exactly-once credit (and
         // the relations_learned counter) happens in Publish via Apply.
-        learner.LearnInto(seq.prog, &batch_.relations);
+        learner.LearnInto(image, seq.keep, &batch_.relations);
         m_.learn_rounds->Add();
         m_.learn_probes->Add(learner.execs_used() - learn_before);
         m_.learn_execs->Observe(learner.execs_used() - learn_before);

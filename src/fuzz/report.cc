@@ -1,5 +1,6 @@
 #include "src/fuzz/report.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/base/string_util.h"
@@ -33,6 +34,11 @@ std::string FormatCampaignReport(const CampaignResult& result,
   out += StrFormat("executions : %llu fuzzing + %llu analysis\n",
                    (unsigned long long)fuzz_execs,
                    (unsigned long long)analysis_execs);
+  if (has_telemetry) {
+    out += FormatProbeLine(fuzz_execs, analysis_execs,
+                           t.counter("healer_exec_images_shipped_total"),
+                           t.counter("healer_exec_mask_replays_total"));
+  }
   out += StrFormat("corpus     : %zu programs, mean length %.2f\n",
                    result.corpus_size, result.corpus_mean_len);
   if (result.corpus_length_hist.size() == 5) {
@@ -161,6 +167,10 @@ std::string FormatStatusLine(const StatusLineInfo& info) {
   if (info.lock_held_share > 0) {
     out += StrFormat(", lock %.3f", info.lock_held_share);
   }
+  if (info.probes_per_exec > 0 || info.images_per_exec > 0) {
+    out += StrFormat(", probes %.2f/exec, images %.2f/exec",
+                     info.probes_per_exec, info.images_per_exec);
+  }
   if (!info.fleet.empty()) {
     out += ", fleet [";
     for (size_t i = 0; i < info.fleet.size(); ++i) {
@@ -184,13 +194,15 @@ std::string FormatStatusJson(const StatusLineInfo& info) {
       "\"crashes\": %zu, \"vms\": %zu, \"failed_execs\": %llu, "
       "\"quarantines\": %llu, \"ring_drains\": %llu, "
       "\"ring_depth_mean\": %.2f, \"ring_stalls\": %llu, "
-      "\"lock_held_share\": %.4f",
+      "\"lock_held_share\": %.4f, \"probes_per_exec\": %.4f, "
+      "\"images_per_exec\": %.4f",
       info.hours, (unsigned long long)info.execs, info.execs_per_sec,
       info.coverage, info.corpus, info.relations, info.crashes, info.vms,
       (unsigned long long)info.failed_execs,
       (unsigned long long)info.quarantines,
       (unsigned long long)info.ring_drains, info.ring_depth_mean,
-      (unsigned long long)info.ring_stalls, info.lock_held_share);
+      (unsigned long long)info.ring_stalls, info.lock_held_share,
+      info.probes_per_exec, info.images_per_exec);
   if (!info.fleet.empty()) {
     out += ", \"fleet\": [";
     for (size_t i = 0; i < info.fleet.size(); ++i) {
@@ -211,6 +223,18 @@ std::string FormatStatusJson(const StatusLineInfo& info) {
   }
   out += "}";
   return out;
+}
+
+std::string FormatProbeLine(uint64_t fuzz_execs, uint64_t analysis_execs,
+                            uint64_t images_shipped, uint64_t mask_replays) {
+  const double per_exec =
+      static_cast<double>(std::max<uint64_t>(fuzz_execs, 1));
+  return StrFormat("probes     : %.2f per fuzzing exec; %.2f images shipped "
+                   "per fuzzing exec (%llu shipped, %llu mask replays)\n",
+                   static_cast<double>(analysis_execs) / per_exec,
+                   static_cast<double>(images_shipped) / per_exec,
+                   (unsigned long long)images_shipped,
+                   (unsigned long long)mask_replays);
 }
 
 }  // namespace healer

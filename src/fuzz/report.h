@@ -53,6 +53,11 @@ struct StatusLineInfo {
   // Share of wall time SharedFuzzState::mu was held (parallel fuzzer only;
   // 0 for the single-threaded loop, where there is no shared lock).
   double lock_held_share = 0.0;
+  // Per fuzzing execution so far: Alg. 1/2 and reproduction probes, and
+  // programs shipped to guests (every other execution replays a call mask
+  // over the guest's resident program).
+  double probes_per_exec = 0.0;
+  double images_per_exec = 0.0;
   // Per-shard fleet census (empty in the legacy pinned-pool topology).
   std::vector<FleetShardSummary> fleet;
 };
@@ -64,6 +69,11 @@ std::string FormatStatusLine(const StatusLineInfo& info);
 
 // The same sample as a single-line JSON object (the /status endpoint body).
 std::string FormatStatusJson(const StatusLineInfo& info);
+
+// The report line on what analysis costs (the paper's §6.2 "a few extra
+// executions"): probes and program transfers per fuzzing execution.
+std::string FormatProbeLine(uint64_t fuzz_execs, uint64_t analysis_execs,
+                            uint64_t images_shipped, uint64_t mask_replays);
 
 }  // namespace healer
 

@@ -2,45 +2,60 @@
 
 namespace healer {
 
-std::optional<CrashRepro> CrashReproducer::Minimize(const Prog& prog,
+std::optional<CrashRepro> CrashReproducer::Minimize(const ProgImage& image,
                                                     BugId bug) {
-  CrashRepro repro{prog.Clone(), bug, 0};
+  const size_t len = image.prog().size();
+  CallMask keep(len, 1);
+  uint64_t execs = 0;
 
-  auto crashes_same = [&](const Prog& candidate) {
-    ++repro.execs;
-    const ExecResult result = exec_(candidate);
+  auto crashes_same = [&](const CallMask& candidate) {
+    ++execs;
+    const ExecResult result = exec_(image, candidate);
     return result.Crashed() && result.crash->bug == bug;
   };
 
-  if (!crashes_same(repro.prog)) {
+  if (!crashes_same(keep)) {
     return std::nullopt;
   }
 
   // Drop the tail after the crashing call: re-execute to find the crash
   // index, then truncate.
   {
-    ++repro.execs;
-    const ExecResult result = exec_(repro.prog);
+    ++execs;
+    const ExecResult result = exec_(image, keep);
     if (result.Crashed()) {
-      repro.prog.Truncate(result.crash->call_index + 1);
+      for (size_t i = result.crash->call_index + 1; i < len; ++i) {
+        keep[i] = 0;
+      }
     }
   }
 
   // Greedy removal passes until a fixpoint: try each call from the back
-  // (keeping the final, crashing call).
+  // (keeping the final, crashing call). Removals only happen above the
+  // call being tried, so the pass can walk the kept calls it started with.
   bool changed = true;
-  while (changed && repro.prog.size() > 1) {
+  std::vector<size_t> kept;
+  for (;;) {
+    kept.clear();
+    for (size_t i = 0; i < len; ++i) {
+      if (keep[i] != 0) {
+        kept.push_back(i);
+      }
+    }
+    if (!changed || kept.size() <= 1) {
+      break;
+    }
     changed = false;
-    for (size_t i = repro.prog.size() - 1; i-- > 0;) {
-      Prog candidate = repro.prog.Clone();
-      candidate.RemoveCall(i);
-      if (crashes_same(candidate)) {
-        repro.prog = std::move(candidate);
+    for (size_t k = kept.size() - 1; k-- > 0;) {
+      keep[kept[k]] = 0;
+      if (crashes_same(keep)) {
         changed = true;
+      } else {
+        keep[kept[k]] = 1;
       }
     }
   }
-  return repro;
+  return CrashRepro{SelectCalls(image.prog(), keep), bug, execs};
 }
 
 }  // namespace healer

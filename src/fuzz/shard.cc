@@ -394,6 +394,10 @@ ShardedCampaignResult RunShardedCampaign(
       result.identities_ok = false;
     }
     result.total_execs += shards[i]->fuzzer().FuzzExecs();
+    const MetricsSnapshot snap = shards[i]->fuzzer().metrics().Snapshot();
+    result.analysis_execs += snap.counter("healer_exec_analysis_total");
+    result.images_shipped += snap.counter("healer_exec_images_shipped_total");
+    result.mask_replays += snap.counter("healer_exec_mask_replays_total");
     result.shard_coverage.push_back(shards[i]->fuzzer().CoverageCount());
     result.corpus_fingerprints.push_back(shards[i]->CorpusFingerprint());
     result.frames_replayed += shards[i]->stats().frames_replayed;

@@ -157,6 +157,11 @@ struct ShardedCampaignResult {
   uint64_t gossip_bytes = 0;
   uint64_t frames_exchanged = 0;
   uint64_t frames_replayed = 0;
+  // Summed over the shards' registries: analysis probes, and how their
+  // executions reached the guests (see FormatProbeLine).
+  uint64_t analysis_execs = 0;
+  uint64_t images_shipped = 0;
+  uint64_t mask_replays = 0;
   std::vector<size_t> shard_coverage;
   std::vector<uint64_t> corpus_fingerprints;  // Per shard.
   std::vector<uint8_t> reconciled_relations;  // Canonical union bytes.

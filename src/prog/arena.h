@@ -14,7 +14,7 @@
 //    caller must ensure no arena-backed Arg is alive across a Reset; in the
 //    fuzzers this holds because candidates are Step-scoped and anything that
 //    survives into the corpus is deep-copied to heap storage first
-//    (minimizer/reproducer clone with Prog::Clone()).
+//    (minimizer/reproducer select it with SelectCalls into heap storage).
 //  - Chunks grow monotonically and are retained by Reset(), so a warmed
 //    arena never touches malloc again until a larger-than-ever program
 //    appears.

@@ -240,6 +240,36 @@ void Prog::Truncate(size_t count) {
   }
 }
 
+Prog SelectCalls(const Prog& prog, const CallMask& keep, ProgArena* arena) {
+  // dropped_before[i]: dropped calls with index < i — the shift RemoveCall
+  // would have applied to a reference to call i.
+  const size_t n = prog.size();
+  std::vector<size_t> dropped_before(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    dropped_before[i + 1] = dropped_before[i] + (keep[i] == 0 ? 1 : 0);
+  }
+  Prog out(prog.target());
+  out.calls().reserve(n - dropped_before[n]);
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i] == 0) {
+      continue;
+    }
+    out.calls().push_back(prog.calls()[i].CloneInto(arena));
+    ForEachArg(out.calls().back(), [&](Arg& arg) {
+      if (arg.kind != ArgKind::kResource || arg.res_ref < 0) {
+        return;
+      }
+      const size_t ref = static_cast<size_t>(arg.res_ref);
+      if (ref < n && keep[ref] == 0) {
+        DegradeResource(arg);
+      } else {
+        arg.res_ref -= static_cast<int>(dropped_before[std::min(ref, n)]);
+      }
+    });
+  }
+  return out;
+}
+
 uint64_t LenValueFor(const Arg& target) {
   switch (target.kind) {
     case ArgKind::kVma:

@@ -161,6 +161,19 @@ class Prog {
   std::vector<Call> calls_;
 };
 
+// Which calls of a program one execution keeps: keep[i] == 1 runs call i,
+// keep[i] == 0 drops it. Algorithm 1/2 probes and crash reproduction are
+// masks over the program the fuzzing execution ran (DESIGN.md §5).
+using CallMask = std::vector<uint8_t>;
+
+// The program `keep` selects from `prog`, built in one pass (nodes in
+// `arena`; nullptr → heap). Resource args referring to a dropped call
+// degrade to their kind's special value and later references shift down:
+// the result is identical to applying RemoveCall to every dropped call.
+// `keep` must have one entry per call.
+Prog SelectCalls(const Prog& prog, const CallMask& keep,
+                 ProgArena* arena = nullptr);
+
 // Computes the value a len-typed field should take for sibling `target`.
 uint64_t LenValueFor(const Arg& target);
 

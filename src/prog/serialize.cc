@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/base/hash.h"
 #include "src/base/string_util.h"
 
 namespace healer {
@@ -40,6 +41,7 @@ class Writer {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
   void Reserve(size_t bytes) { buf_.reserve(bytes); }
+  size_t size() const { return buf_.size(); }
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
@@ -91,6 +93,9 @@ class Reader {
     return true;
   }
   bool AtEnd() const { return pos_ == size_; }
+  size_t remaining() const { return size_ - pos_; }
+  const uint8_t* cursor() const { return data_ + pos_; }
+  void Skip(size_t n) { pos_ += n; }
 
  private:
   const uint8_t* data_;
@@ -155,7 +160,7 @@ constexpr int kMaxDecodeDepth = 64;
 // appended), so resource refs are semantically checked in this same pass —
 // accepted programs need no separate Validate() walk.
 Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
-                         int depth = 0) {
+                         ProgArena* arena, int depth = 0) {
   if (depth > kMaxDecodeDepth) {
     return ParseError("arg nesting too deep");
   }
@@ -170,24 +175,24 @@ Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
       if (!r.U64(&val)) {
         return ParseError("truncated constant");
       }
-      return MakeConstant(type, val);
+      return MakeConstant(type, val, arena);
     }
     case Tag::kData: {
       std::vector<uint8_t> data;
       if (!r.Bytes(&data)) {
         return ParseError("truncated data arg");
       }
-      return MakeData(type, std::move(data));
+      return MakeData(type, std::move(data), arena);
     }
     case Tag::kNullPointer:
-      return MakeNullPointer(type);
+      return MakeNullPointer(type, arena);
     case Tag::kPointer: {
       if (type == nullptr || type->kind != TypeKind::kPtr) {
         return ParseError("pointer tag for non-pointer type");
       }
       HEALER_ASSIGN_OR_RETURN(ArgPtr pointee,
-                              DecodeArg(type->elem, r, prog, depth + 1));
-      return MakePointer(type, std::move(pointee));
+                              DecodeArg(type->elem, r, prog, arena, depth + 1));
+      return MakePointer(type, std::move(pointee), arena);
     }
     case Tag::kGroup: {
       uint32_t count;
@@ -203,20 +208,20 @@ Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
         for (uint32_t i = 0; i < count; ++i) {
           HEALER_ASSIGN_OR_RETURN(
               ArgPtr child,
-              DecodeArg(type->fields[i].type, r, prog, depth + 1));
+              DecodeArg(type->fields[i].type, r, prog, arena, depth + 1));
           inner.push_back(std::move(child));
         }
       } else if (type != nullptr && type->kind == TypeKind::kArray) {
         for (uint32_t i = 0; i < count; ++i) {
           HEALER_ASSIGN_OR_RETURN(
               ArgPtr child,
-              DecodeArg(type->array_elem, r, prog, depth + 1));
+              DecodeArg(type->array_elem, r, prog, arena, depth + 1));
           inner.push_back(std::move(child));
         }
       } else {
         return ParseError("group tag for non-aggregate type");
       }
-      return MakeGroup(type, std::move(inner));
+      return MakeGroup(type, std::move(inner), arena);
     }
     case Tag::kUnion: {
       if (type == nullptr || type->kind != TypeKind::kUnion) {
@@ -227,8 +232,8 @@ Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
         return ParseError("bad union index");
       }
       HEALER_ASSIGN_OR_RETURN(
-          ArgPtr child, DecodeArg(type->fields[index].type, r, prog, depth + 1));
-      return MakeUnion(type, static_cast<int>(index), std::move(child));
+          ArgPtr child, DecodeArg(type->fields[index].type, r, prog, arena, depth + 1));
+      return MakeUnion(type, static_cast<int>(index), std::move(child), arena);
     }
     case Tag::kResourceRef: {
       uint32_t ref;
@@ -259,14 +264,14 @@ Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
           return ParseError("resource ref producer type mismatch");
         }
       }
-      return MakeResourceRef(type, ref_idx, static_cast<int>(slot));
+      return MakeResourceRef(type, ref_idx, static_cast<int>(slot), arena);
     }
     case Tag::kResourceSpecial: {
       uint64_t val;
       if (!r.U64(&val)) {
         return ParseError("truncated resource special");
       }
-      return MakeResourceSpecial(type, val);
+      return MakeResourceSpecial(type, val, arena);
     }
     case Tag::kVma: {
       uint64_t addr;
@@ -274,15 +279,18 @@ Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
       if (!r.U64(&addr) || !r.U64(&pages)) {
         return ParseError("truncated vma arg");
       }
-      return MakeVma(type, addr, pages);
+      return MakeVma(type, addr, pages, arena);
     }
   }
   return ParseError(StrFormat("unknown arg tag %u", tag_byte));
 }
 
-}  // namespace
+constexpr size_t kProgHeader = 8;  // Magic and call count.
 
-std::vector<uint8_t> SerializeProg(const Prog& prog) {
+// Encodes `prog`, recording where each call's encoding ends in `call_ends`
+// when it is non-null.
+std::vector<uint8_t> Encode(const Prog& prog,
+                            std::vector<uint32_t>* call_ends) {
   Writer w;
   // A typical encoded call is a few tens of bytes; one up-front estimate
   // replaces the doubling-growth reallocations that showed up in the
@@ -296,12 +304,21 @@ std::vector<uint8_t> SerializeProg(const Prog& prog) {
     for (const auto& arg : call.args) {
       EncodeArg(*arg, w);
     }
+    if (call_ends != nullptr) {
+      call_ends->push_back(static_cast<uint32_t>(w.size()));
+    }
   }
   return w.Take();
 }
 
+}  // namespace
+
+std::vector<uint8_t> SerializeProg(const Prog& prog) {
+  return Encode(prog, nullptr);
+}
+
 Result<Prog> DeserializeProg(const Target& target, const uint8_t* data,
-                             size_t size) {
+                             size_t size, ProgArena* arena) {
   Reader r(data, size);
   uint32_t magic;
   uint32_t ncalls;
@@ -330,7 +347,7 @@ Result<Prog> DeserializeProg(const Target& target, const uint8_t* data,
     call.meta = &meta;
     for (uint32_t ai = 0; ai < nargs; ++ai) {
       HEALER_ASSIGN_OR_RETURN(ArgPtr arg,
-                              DecodeArg(meta.args[ai].type, r, prog));
+                              DecodeArg(meta.args[ai].type, r, prog, arena));
       call.args.push_back(std::move(arg));
     }
     prog.calls().push_back(std::move(call));
@@ -339,6 +356,94 @@ Result<Prog> DeserializeProg(const Target& target, const uint8_t* data,
     return ParseError("trailing bytes after program");
   }
   return prog;
+}
+
+uint64_t ImageDigest(const uint8_t* data, size_t size) {
+  return FastBytesHash(
+      std::string_view(reinterpret_cast<const char*>(data), size));
+}
+
+const std::vector<uint8_t>& ProgImage::bytes() const {
+  if (bytes_.empty()) {
+    call_ends_.reserve(prog_->size());
+    bytes_ = Encode(*prog_, &call_ends_);
+    digest_ = ImageDigest(bytes_.data(), bytes_.size());
+  }
+  return bytes_;
+}
+
+uint64_t ProgImage::digest() const {
+  bytes();
+  return digest_;
+}
+
+size_t ProgImage::WireSize(const CallMask* keep) const {
+  bytes();
+  if (keep == nullptr) {
+    return bytes_.size();
+  }
+  size_t size = kProgHeader;
+  for (size_t i = 0; i < call_ends_.size(); ++i) {
+    if ((*keep)[i] != 0) {
+      size += call_ends_[i] - (i == 0 ? kProgHeader : call_ends_[i - 1]);
+    }
+  }
+  return size;
+}
+
+std::vector<uint8_t> EncodeMaskRequest(uint64_t digest, const CallMask& keep,
+                                       const std::vector<uint8_t>* image) {
+  Writer w;
+  const size_t image_size = image != nullptr ? image->size() : 0;
+  w.Reserve(kMaskRequestHeader + keep.size() + image_size);
+  w.U32(kMaskRequestMagic);
+  w.U64(digest);
+  w.U32(static_cast<uint32_t>(keep.size()));
+  w.U32(static_cast<uint32_t>(image_size));
+  std::vector<uint8_t> out = w.Take();
+  out.insert(out.end(), keep.begin(), keep.end());
+  if (image != nullptr) {
+    out.insert(out.end(), image->begin(), image->end());
+  }
+  return out;
+}
+
+bool IsMaskRequest(const uint8_t* data, size_t size) {
+  uint32_t magic;
+  return Reader(data, size).U32(&magic) && magic == kMaskRequestMagic;
+}
+
+Result<MaskRequest> DecodeMaskRequest(const uint8_t* data, size_t size) {
+  Reader r(data, size);
+  uint32_t magic;
+  uint32_t calls;
+  uint32_t image_size;
+  MaskRequest req;
+  if (!r.U32(&magic) || magic != kMaskRequestMagic) {
+    return ParseError("bad mask magic");
+  }
+  if (!r.U64(&req.digest) || !r.U32(&calls) || !r.U32(&image_size)) {
+    return ParseError("truncated mask header");
+  }
+  if (calls > r.remaining()) {
+    return ParseError("truncated keep mask");
+  }
+  req.calls = calls;
+  req.keep = r.cursor();
+  for (size_t i = 0; i < req.calls; ++i) {
+    if (req.keep[i] > 1) {
+      return ParseError(StrFormat("keep byte %zu is not 0 or 1", i));
+    }
+  }
+  r.Skip(req.calls);
+  if (image_size != r.remaining()) {
+    return ParseError("image length does not match the request");
+  }
+  if (image_size > 0) {
+    req.image = r.cursor();
+    req.image_size = image_size;
+  }
+  return req;
 }
 
 }  // namespace healer

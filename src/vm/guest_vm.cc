@@ -75,6 +75,14 @@ GuestVm::GuestVm(const Target& target, const KernelConfig& config,
                      "Programs reaped per ring drain.");
     m_ring_drain_programs_ =
         metrics->GetHistogram("healer_ring_drain_programs");
+    metrics->SetHelp("healer_exec_images_shipped_total",
+                     "Executions that shipped their program to the guest.");
+    m_images_shipped_ =
+        metrics->GetCounter("healer_exec_images_shipped_total");
+    metrics->SetHelp("healer_exec_mask_replays_total",
+                     "Executions replayed under a call mask over the "
+                     "guest's resident program.");
+    m_mask_replays_ = metrics->GetCounter("healer_exec_mask_replays_total");
     metrics->SetHelp("healer_ctrl_overflow_total",
                      "Control-socket frames dropped to a full buffer.");
     ctrl_.set_overflow_counter(
@@ -220,7 +228,89 @@ ExecResult GuestVm::FailWith(ExecFailure failure) {
   return result;
 }
 
+namespace {
+
+size_t KeptCalls(const ProgImage& image, const CallMask* keep) {
+  if (keep == nullptr) {
+    return image.prog().size();
+  }
+  size_t kept = 0;
+  for (const uint8_t k : *keep) {
+    kept += k != 0 ? 1 : 0;
+  }
+  return kept;
+}
+
+// The corruption model of a damaged transfer, shared by both transports so
+// they consume the same Rand stream.
+void Corrupt(FaultKind fault, FaultInjector& injector,
+             std::vector<uint8_t>* bytes) {
+  if (bytes->empty()) {
+    return;
+  }
+  if (fault == FaultKind::kTruncatedResult) {
+    bytes->resize(injector.Rand() % bytes->size());
+  } else {
+    (*bytes)[injector.Rand() % bytes->size()] ^=
+        static_cast<uint8_t>(1u << (injector.Rand() % 8));
+  }
+}
+
+}  // namespace
+
+const std::vector<uint8_t>& GuestVm::Request(const ProgImage& image,
+                                             const CallMask* keep,
+                                             bool use_resident, size_t limit,
+                                             std::vector<uint8_t>* scratch,
+                                             bool* replay) {
+  const size_t mask_bytes = kMaskRequestHeader + image.prog().size();
+  *replay = use_resident && mask_bytes <= limit && HoldsImage(image);
+  if (keep == nullptr) {
+    if (!*replay) {
+      return image.bytes();
+    }
+    *scratch = EncodeMaskRequest(image.digest(),
+                                 CallMask(image.prog().size(), 1), nullptr);
+  } else if (*replay) {
+    *scratch = EncodeMaskRequest(image.digest(), *keep, nullptr);
+  } else if (mask_bytes + image.bytes().size() <= limit) {
+    *scratch = EncodeMaskRequest(image.digest(), *keep, &image.bytes());
+  } else {
+    // The image would overflow the channel but the selection fits: ship the
+    // selected program alone, which the guest then holds instead.
+    *scratch = SerializeProg(SelectCalls(image.prog(), *keep));
+  }
+  return *scratch;
+}
+
+void GuestVm::CountRequest(bool replay) {
+  Counter* counter = replay ? m_mask_replays_ : m_images_shipped_;
+  if (counter != nullptr) {
+    counter->Add();
+  }
+}
+
+void GuestVm::NoteExchange() {
+  // The reply names the image the guest holds now.
+  const Executor& executor = EnsureExecutor();
+  resident_ = executor.has_image();
+  resident_digest_ = executor.image_digest();
+}
+
+void GuestVm::LoseImage() {
+  resident_ = false;
+  if (executor_ != nullptr) {
+    executor_->DropImage();
+  }
+}
+
 ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
+  const ProgImage image(prog);
+  return Exec(image, nullptr, global_coverage);
+}
+
+ExecResult GuestVm::Exec(const ProgImage& image, const CallMask* keep,
+                         Bitmap* global_coverage) {
   const SimClock::Nanos start = clock_->now();
   const std::optional<FaultKind> fault = injector_.Draw();
   if (fault.has_value() && m_fault_injected_[0] != nullptr) {
@@ -285,41 +375,47 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
     return FailWith(ExecFailure::kRingStall);
   }
 
-  std::vector<uint8_t> bytes = SerializeProg(prog);
+  // Whether an execution fits the channel is decided by the program it
+  // runs, whatever travels — the rule of shipping every program whole.
+  constexpr size_t kLimit = ShmChannel::kSize - 8;
+  std::vector<uint8_t> scratch;
+  bool replay = false;
+  const std::vector<uint8_t>& bytes =
+      Request(image, keep, true, kLimit, &scratch, &replay);
   if (fault == FaultKind::kTruncatedResult ||
       fault == FaultKind::kBitFlipResult) {
     // Transport corruption: the executor sees damaged wire bytes. The decode
-    // attempt runs (exercising the hardened deserializer) but whatever comes
-    // out is discarded — a corrupted reply must never contribute feedback,
-    // so no coverage bitmap is offered and no calls are returned.
-    if (!bytes.empty()) {
-      if (fault == FaultKind::kTruncatedResult) {
-        bytes.resize(injector_.Rand() % bytes.size());
-      } else {
-        bytes[injector_.Rand() % bytes.size()] ^=
-            static_cast<uint8_t>(1u << (injector_.Rand() % 8));
-      }
-    }
+    // attempt runs (exercising the hardened decoders) but whatever comes out
+    // is discarded — a corrupted reply must never contribute feedback, so no
+    // coverage bitmap is offered and no calls are returned — and neither
+    // side trusts the resident image afterwards.
+    CountRequest(replay);
+    std::vector<uint8_t> corrupted = bytes;
+    Corrupt(*fault, injector_, &corrupted);
     ShmChannel& shm = EnsureShm();
-    if (shm.WriteProg(bytes)) {
+    if (shm.WriteProg(corrupted)) {
       EnsureExecutor().RunSerialized(shm.prog_data(), shm.prog_size(),
                                      nullptr);
     }
+    LoseImage();
     clock_->Advance(latency_.exec_overhead);
     return FailWith(ExecFailure::kCorruptedReply);
   }
 
   ShmChannel& shm = EnsureShm();
-  if (!shm.WriteProg(bytes)) {
-    LOG_WARNING << "program too large for shm region (" << bytes.size()
-                << " bytes)";
+  if (image.WireSize(keep) > kLimit || !shm.WriteProg(bytes)) {
+    LOG_WARNING << "program too large for shm region ("
+                << image.WireSize(keep) << " bytes)";
     return ExecResult{};
   }
+  CountRequest(replay);
+  const size_t kept = KeptCalls(image, keep);
   ctrl_.Send(CtrlFrame{CtrlKind::kExecRequest, bytes.size()});
   set_state(VmState::kExecuting);
   ExecResult result = EnsureExecutor().RunSerialized(shm.prog_data(),
                                                      shm.prog_size(),
                                                      global_coverage);
+  NoteExchange();
   CtrlFrame frame;
   ctrl_.Recv(&frame);  // The request we queued; the reply follows.
   ctrl_.Send(CtrlFrame{CtrlKind::kExecReply, result.calls.size()});
@@ -327,8 +423,7 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
 
   execs_.fetch_add(1, std::memory_order_relaxed);
   consecutive_failures_.store(0, std::memory_order_relaxed);
-  clock_->Advance(latency_.exec_overhead +
-                  latency_.per_call * prog.size());
+  clock_->Advance(latency_.exec_overhead + latency_.per_call * kept);
   if (fault == FaultKind::kSlowVm) {
     clock_->Advance(latency_.slow_penalty);
     AppendLog("[ fault  ] slow round trip (host contention)");
@@ -352,26 +447,50 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
 
 std::vector<RingCompletion> GuestVm::ExecBatch(
     const std::vector<const Prog*>& progs, Bitmap* global_coverage) {
+  std::vector<ProgImage> images;
+  images.reserve(progs.size());
+  std::vector<Job> jobs;
+  jobs.reserve(progs.size());
+  for (const Prog* prog : progs) {
+    images.emplace_back(*prog);
+    jobs.push_back(Job{&images.back(), nullptr});
+  }
+  return RingBatch(jobs, global_coverage);
+}
+
+std::vector<RingCompletion> GuestVm::RingBatch(const std::vector<Job>& jobs,
+                                               Bitmap* global_coverage) {
   ExecRing& ring = EnsureRing();
   std::vector<RingCompletion> out;
-  out.reserve(progs.size());
+  out.reserve(jobs.size());
   size_t next = 0;
-  while (out.size() < progs.size()) {
+  std::vector<uint8_t> scratch;
+  while (out.size() < jobs.size()) {
     // Submission phase: fill the SQ until it is full or the next program
     // exceeds the slot budget. Tags are batch indices, so completion order
     // can be checked against submission order.
     bool oversized = false;
     const uint64_t first_tag = next;
     size_t submitted = 0;
-    while (next < progs.size()) {
-      const std::vector<uint8_t> bytes = SerializeProg(*progs[next]);
-      if (bytes.size() > ring.sq().payload_capacity()) {
+    while (next < jobs.size()) {
+      // A job spills when the program it runs would not fit a slot,
+      // whatever travels (see Exec).
+      const Job& job = jobs[next];
+      const size_t limit = ring.sq().payload_capacity();
+      if (job.image->WireSize(job.keep) > limit) {
         oversized = true;
         break;
       }
+      // Only a drain's first entry may lean on the resident image: a fault
+      // on an earlier entry of the same drain can take the image down
+      // before the guest reads a later one.
+      bool replay = false;
+      const std::vector<uint8_t>& bytes = Request(
+          *job.image, job.keep, submitted == 0, limit, &scratch, &replay);
       if (!ring.sq().Push(bytes.data(), bytes.size(), next)) {
         break;  // SQ full: drain what is queued, then keep submitting.
       }
+      CountRequest(replay);
       if (m_ring_submitted_ != nullptr) {
         m_ring_submitted_->Add();
       }
@@ -379,7 +498,7 @@ std::vector<RingCompletion> GuestVm::ExecBatch(
       ++next;
     }
     if (submitted > 0) {
-      DrainRing(progs, first_tag, submitted, global_coverage, &out);
+      DrainRing(jobs, first_tag, submitted, global_coverage, &out);
       continue;  // Re-enter submission with an empty SQ.
     }
     if (oversized) {
@@ -387,7 +506,8 @@ std::vector<RingCompletion> GuestVm::ExecBatch(
       // the one-at-a-time channel. Its fault draw happens inside Exec,
       // which keeps the per-program decision stream aligned with a pure
       // legacy sequence.
-      ExecResult result = Exec(*progs[next], global_coverage);
+      ExecResult result =
+          Exec(*jobs[next].image, jobs[next].keep, global_coverage);
       if (m_ring_spills_ != nullptr) {
         m_ring_spills_->Add();
       }
@@ -401,7 +521,7 @@ std::vector<RingCompletion> GuestVm::ExecBatch(
   return out;
 }
 
-void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
+void GuestVm::DrainRing(const std::vector<Job>& jobs,
                         uint64_t first_tag, size_t count,
                         Bitmap* global_coverage,
                         std::vector<RingCompletion>* out) {
@@ -494,27 +614,24 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
                  fault == FaultKind::kBitFlipResult) {
         // Same corruption model (and Rand stream) as the legacy transport.
         std::vector<uint8_t> corrupted = bytes;
-        if (!corrupted.empty()) {
-          if (fault == FaultKind::kTruncatedResult) {
-            corrupted.resize(injector_.Rand() % corrupted.size());
-          } else {
-            corrupted[injector_.Rand() % corrupted.size()] ^=
-                static_cast<uint8_t>(1u << (injector_.Rand() % 8));
-          }
-        }
+        Corrupt(*fault, injector_, &corrupted);
         EnsureExecutor().RunSerialized(corrupted.data(), corrupted.size(),
                                        nullptr);
+        LoseImage();
         result = FailWith(ExecFailure::kCorruptedReply);
       } else {
-        const size_t prog_len =
-            tag < progs.size() ? progs[static_cast<size_t>(tag)]->size() : 0;
+        const size_t kept =
+            tag < jobs.size() ? KeptCalls(*jobs[static_cast<size_t>(tag)].image,
+                                          jobs[static_cast<size_t>(tag)].keep)
+                              : 0;
         set_state(VmState::kExecuting);
         result =
             EnsureExecutor().RunSerialized(bytes.data(), bytes.size(),
                                            global_coverage);
+        NoteExchange();
         execs_.fetch_add(1, std::memory_order_relaxed);
         consecutive_failures_.store(0, std::memory_order_relaxed);
-        clock_->Advance(latency_.per_call * prog_len);
+        clock_->Advance(latency_.per_call * kept);
         if (fault == FaultKind::kSlowVm) {
           clock_->Advance(latency_.slow_penalty);
           AppendLog("[ fault  ] slow round trip (host contention)");
@@ -601,8 +718,14 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
 }
 
 ExecResult GuestVm::ExecRingOne(const Prog& prog, Bitmap* global_coverage) {
-  const std::vector<const Prog*> one = {&prog};
-  std::vector<RingCompletion> completions = ExecBatch(one, global_coverage);
+  const ProgImage image(prog);
+  return ExecRingOne(image, nullptr, global_coverage);
+}
+
+ExecResult GuestVm::ExecRingOne(const ProgImage& image, const CallMask* keep,
+                                Bitmap* global_coverage) {
+  std::vector<RingCompletion> completions =
+      RingBatch({Job{&image, keep}}, global_coverage);
   if (completions.empty()) {
     return ExecResult{};
   }

@@ -36,6 +36,13 @@
 // lazily on first execution: a fleet of thousands of cold or boot-looping
 // guests costs kilobytes each, which is what makes 2048-VM storm scenarios
 // runnable (the boot handshake itself only touches the control socket).
+//
+// Every execution is a (program image, keep mask) pair. The guest's
+// executor keeps the last program it decoded; the VM ships a program only
+// when its guest does not hold it already, and otherwise sends a small
+// call-mask request (DESIGN.md §9). Going down — a crash, a lost VM, a
+// reboot or quarantine — and a corrupted transfer drop the resident image,
+// so the next execution ships it again.
 
 #ifndef SRC_VM_GUEST_VM_H_
 #define SRC_VM_GUEST_VM_H_
@@ -136,11 +143,19 @@ class GuestVm {
   bool StartRebootAsync(EventLoop* loop,
                         std::function<void(GuestVm&)> done = nullptr);
 
-  // Serializes `prog` into shared memory, round-trips through the executor,
-  // and advances the simulated clock. A crashing program marks the VM as
-  // down; the next Exec reboots it first (modelling crash-and-restart).
-  // Injected faults return a result with `failure` set and no calls.
+  // Runs every call of `prog`: Exec(ProgImage(prog), nullptr, ...).
   ExecResult Exec(const Prog& prog, Bitmap* global_coverage);
+
+  // Runs the calls of `image` that `keep` marks (nullptr: every call)
+  // through shared memory and the executor, and advances the simulated
+  // clock by exec_overhead + per_call x kept calls. The result is that of
+  // SelectCalls(image.prog(), keep): per-call results and the crash index
+  // count kept calls only. A crashing program marks the VM as down; the
+  // next Exec reboots it first (modelling crash-and-restart). Injected
+  // faults return a result with `failure` set and no calls; each execution
+  // draws the injector exactly once.
+  ExecResult Exec(const ProgImage& image, const CallMask* keep,
+                  Bitmap* global_coverage);
 
   // Batched transport: submits the programs into the SQ ring, drains the
   // executor multi-shot, and reaps one completion per program from the CQ,
@@ -158,6 +173,14 @@ class GuestVm {
   // fault-free path its clock charges equal Exec's, which keeps fixed-seed
   // campaigns over the ring transport draw-identical to legacy ones.
   ExecResult ExecRingOne(const Prog& prog, Bitmap* global_coverage);
+  // The masked execution of Exec(image, keep, ...) over the rings.
+  ExecResult ExecRingOne(const ProgImage& image, const CallMask* keep,
+                         Bitmap* global_coverage);
+
+  // True when this VM's guest holds `image` as its resident image.
+  bool HoldsImage(const ProgImage& image) const {
+    return resident_ && resident_digest_ == image.digest();
+  }
 
   // Recovery hook: reboots a repeatedly failing guest out-of-band and
   // clears its consecutive-failure streak.
@@ -209,13 +232,39 @@ class GuestVm {
   void JournalLifecycleAt(SimClock::Nanos at, const char* what);
   // Records an infra failure and builds the typed failure result.
   ExecResult FailWith(ExecFailure failure);
+  // One execution of a ring batch.
+  struct Job {
+    const ProgImage* image = nullptr;
+    const CallMask* keep = nullptr;  // nullptr: every call.
+  };
+  std::vector<RingCompletion> RingBatch(const std::vector<Job>& jobs,
+                                        Bitmap* global_coverage);
   // Executor side of one ring round trip: pops every pending SQ entry,
   // executes it (applying per-program faults), posts completions, then reaps
   // the CQ into `out`. `first_tag`/`count` identify the tags submitted this
   // drain so lost completions can be timed out as ring stalls.
-  void DrainRing(const std::vector<const Prog*>& progs, uint64_t first_tag,
+  void DrainRing(const std::vector<Job>& jobs, uint64_t first_tag,
                  size_t count, Bitmap* global_coverage,
                  std::vector<RingCompletion>* out);
+  // The wire bytes of one execution: a mask request over the resident image
+  // when the guest holds it, else the program itself when every call runs,
+  // else a mask request carrying the program. `use_resident` false forces
+  // the program along (the guest may lose its image before the request is
+  // read). When the selected program fits `limit`, so do the bytes: a
+  // request that would overflow it ships the selected program alone. The
+  // bytes live in `image` or in `scratch`; `replay` reports whether the
+  // request relies on the resident image.
+  const std::vector<uint8_t>& Request(const ProgImage& image,
+                                      const CallMask* keep, bool use_resident,
+                                      size_t limit,
+                                      std::vector<uint8_t>* scratch,
+                                      bool* replay);
+  void CountRequest(bool replay);
+  // After an exchange that reached the executor: records the image the
+  // guest holds now.
+  void NoteExchange();
+  // Drops the resident image on both sides of the transport.
+  void LoseImage();
   // Shared tail of both async transitions; fires when the armed timer does.
   // `loop` supplies the virtual timestamp for the journal record.
   void FinishBootTimer(EventLoop* loop, bool boot_failed,
@@ -225,7 +274,14 @@ class GuestVm {
   Executor& EnsureExecutor() const;
   ShmChannel& EnsureShm() const;
   ExecRing& EnsureRing() const;
-  void set_state(VmState s) { state_.store(s, std::memory_order_release); }
+  // Any state but ready/executing means the guest went down (or has not
+  // come up yet), taking its resident image with it.
+  void set_state(VmState s) {
+    if (s != VmState::kReady && s != VmState::kExecuting) {
+      LoseImage();
+    }
+    state_.store(s, std::memory_order_release);
+  }
 
   const Target* target_;
   KernelConfig config_;
@@ -247,6 +303,10 @@ class GuestVm {
   std::atomic<uint64_t> infra_faults_{0};
   std::atomic<uint64_t> consecutive_failures_{0};
   std::atomic<uint64_t> quarantines_{0};
+  // The host's record of the guest's resident image. Owned by whoever
+  // drives the VM, like the transports.
+  bool resident_ = false;
+  uint64_t resident_digest_ = 0;
   std::mutex log_mu_;  // Drained from whichever thread pumps the Monitor.
   std::vector<std::string> log_;
   JournalWriter* journal_ = nullptr;  // Owned and flushed by the driver.
@@ -262,6 +322,8 @@ class GuestVm {
   Counter* m_ring_spills_ = nullptr;       // healer_ring_spills_total
   Counter* m_ring_stalls_ = nullptr;       // healer_ring_stalls_total
   Histogram* m_ring_drain_programs_ = nullptr;  // healer_ring_drain_programs
+  Counter* m_images_shipped_ = nullptr;  // healer_exec_images_shipped_total
+  Counter* m_mask_replays_ = nullptr;    // healer_exec_mask_replays_total
 };
 
 }  // namespace healer

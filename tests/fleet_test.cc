@@ -446,6 +446,9 @@ TEST(FleetFuzzTest, SharedShardHandsOutOnlySettledGuests) {
     }
     EXPECT_EQ(health_execs,
               result.telemetry.counter("healer_vm_execs_total"));
+    // Probes replay the image their guest already holds.
+    EXPECT_GT(result.telemetry.counter("healer_exec_mask_replays_total"), 0u)
+        << "seed " << seed;
   }
 }
 

@@ -280,6 +280,13 @@ TEST(StatusLineTest, Format) {
   info.quarantines = 2;
   EXPECT_NE(FormatStatusLine(info).find("faults 17 (2 quarantined)"),
             std::string::npos);
+  EXPECT_EQ(line.find("probes"), std::string::npos);
+  info.probes_per_exec = 0.79;
+  info.images_per_exec = 1.15;
+  EXPECT_NE(FormatStatusLine(info).find("probes 0.79/exec, images 1.15/exec"),
+            std::string::npos);
+  EXPECT_NE(FormatStatusJson(info).find("\"images_per_exec\": 1.1500"),
+            std::string::npos);
 }
 
 // ---- campaign-level properties ----
@@ -429,6 +436,28 @@ TEST(TelemetryReportTest, ReportQuotesTelemetry) {
                 (unsigned long long)result.telemetry.counter(
                     "healer_fuzz_execs_total"));
   EXPECT_NE(report.find(expected), std::string::npos) << report;
+}
+
+TEST(TelemetryReportTest, ProbeLineAttributesAnalysisExecutions) {
+  if (!kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  CampaignOptions options = QuickOptions(13);
+  options.fault_plan = FaultPlan();
+  const CampaignResult result = RunCampaign(options);
+  const MetricsSnapshot& t = result.telemetry;
+  const uint64_t fuzz = t.counter("healer_fuzz_execs_total");
+  const uint64_t analysis = t.counter("healer_exec_analysis_total");
+  const uint64_t shipped = t.counter("healer_exec_images_shipped_total");
+  const uint64_t replays = t.counter("healer_exec_mask_replays_total");
+  // Fault-free, every execution reaches its guest exactly once: as a
+  // shipped program or as a mask replay over the one the guest holds.
+  EXPECT_EQ(shipped + replays, fuzz + analysis);
+  EXPECT_GT(analysis, 0u);
+  EXPECT_GT(replays, analysis / 2);
+  EXPECT_NE(FormatCampaignReport(result).find(
+                FormatProbeLine(fuzz, analysis, shipped, replays)),
+            std::string::npos);
 }
 
 TEST(TelemetryReportTest, MaxCrashesZeroSuppressesList) {

@@ -1,7 +1,8 @@
-// Hostile-input hardening for the program wire format (serialize.cc) and
-// the corpus container (corpus_io.cc). One regression test per reachable
-// decode failure path, plus truncation and bit-flip properties showing the
-// decoder always fails cleanly — no crash, no over-allocation, no partially
+// Hostile-input hardening for the program wire format (serialize.cc), the
+// call-mask requests that replay a guest's resident image, and the corpus
+// container (corpus_io.cc). One regression test per reachable decode
+// failure path, plus truncation and bit-flip properties showing the decoder
+// always fails cleanly — no crash, no over-allocation, no partially
 // constructed program escaping.
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "src/base/metrics.h"
 #include "src/base/rng.h"
 #include "src/exec/exec_ring.h"
+#include "src/exec/executor.h"
 #include "src/exec/shm_channel.h"
 #include "src/fuzz/corpus_io.h"
 #include "src/fuzz/gossip.h"
@@ -23,6 +25,7 @@
 #include "src/fuzz/templates.h"
 #include "src/prog/serialize.h"
 #include "src/syzlang/builtin_descs.h"
+#include "src/vm/guest_vm.h"
 
 namespace healer {
 namespace {
@@ -1028,6 +1031,219 @@ TEST(GossipHostileTest, RandomBitFlipsNeverCrashTheDecoder) {
   // origin/seq identity fields survive by design (dedup, not integrity,
   // owns those), so rejection is high but not total.
   EXPECT_GT(rejected, 1500u);
+}
+
+// ---- call-mask requests ----
+
+// An executor holding the two-call sample program as its resident image.
+class MaskHostileTest : public ::testing::Test {
+ protected:
+  MaskHostileTest()
+      : executor_(BuiltinTarget(),
+                  KernelConfig::ForVersion(KernelVersion::kV5_11)),
+        image_(SampleBytes()),
+        digest_(ImageDigest(image_.data(), image_.size())) {
+    Load();
+  }
+
+  void Load() {
+    const ExecResult result =
+        executor_.RunSerialized(image_.data(), image_.size(), nullptr);
+    ASSERT_EQ(result.calls.size(), 2u);
+    ASSERT_TRUE(executor_.has_image());
+  }
+
+  ExecResult Send(const std::vector<uint8_t>& request) {
+    return executor_.RunSerialized(request.data(), request.size(), nullptr);
+  }
+
+  // A rejected request answers with an empty result and leaves no image
+  // behind, so the host has to ship the program again.
+  void ExpectRejected(const std::vector<uint8_t>& request) {
+    const ExecResult result = Send(request);
+    EXPECT_TRUE(result.calls.empty());
+    EXPECT_FALSE(result.Crashed());
+    EXPECT_FALSE(executor_.has_image());
+  }
+
+  Executor executor_;
+  std::vector<uint8_t> image_;
+  uint64_t digest_;
+};
+
+TEST_F(MaskHostileTest, WellFormedMasksReplayTheResidentImage) {
+  EXPECT_EQ(Send(EncodeMaskRequest(digest_, {1, 1}, nullptr)).calls.size(),
+            2u);
+  EXPECT_EQ(Send(EncodeMaskRequest(digest_, {0, 1}, nullptr)).calls.size(),
+            1u);
+  EXPECT_TRUE(executor_.has_image());
+  // A request may carry the image itself, for a guest that lacks it.
+  Executor fresh(BuiltinTarget(),
+                 KernelConfig::ForVersion(KernelVersion::kV5_11));
+  const std::vector<uint8_t> carried =
+      EncodeMaskRequest(digest_, {1, 0}, &image_);
+  EXPECT_EQ(fresh.RunSerialized(carried.data(), carried.size(), nullptr)
+                .calls.size(),
+            1u);
+  EXPECT_TRUE(fresh.has_image());
+  EXPECT_EQ(fresh.image_digest(), digest_);
+}
+
+TEST_F(MaskHostileTest, TruncatedHeaderRejected) {
+  const std::vector<uint8_t> request =
+      EncodeMaskRequest(digest_, {1, 1}, nullptr);
+  for (size_t len = 0; len < kMaskRequestHeader + 2; ++len) {
+    Load();
+    ExpectRejected(std::vector<uint8_t>(request.begin(),
+                                        request.begin() +
+                                            static_cast<long>(len)));
+  }
+}
+
+TEST_F(MaskHostileTest, StaleImageDigestRejected) {
+  ExpectRejected(EncodeMaskRequest(digest_ + 1, {1, 1}, nullptr));
+  // The image is gone now, so even the right digest is refused until the
+  // program travels again.
+  ExpectRejected(EncodeMaskRequest(digest_, {1, 1}, nullptr));
+}
+
+TEST_F(MaskHostileTest, NonResidentImageRejected) {
+  Executor fresh(BuiltinTarget(),
+                 KernelConfig::ForVersion(KernelVersion::kV5_11));
+  const std::vector<uint8_t> request =
+      EncodeMaskRequest(digest_, {1, 1}, nullptr);
+  EXPECT_TRUE(
+      fresh.RunSerialized(request.data(), request.size(), nullptr)
+          .calls.empty());
+  EXPECT_FALSE(fresh.has_image());
+}
+
+TEST_F(MaskHostileTest, CallCountDifferentFromImageRejected) {
+  ExpectRejected(EncodeMaskRequest(digest_, {1, 1, 1}, nullptr));
+  Load();
+  ExpectRejected(EncodeMaskRequest(digest_, {1}, nullptr));
+}
+
+TEST_F(MaskHostileTest, KeepBytesOutsideZeroOneRejected) {
+  for (const uint8_t bad : {uint8_t{2}, uint8_t{0x80}, uint8_t{0xff}}) {
+    Load();
+    ExpectRejected(EncodeMaskRequest(digest_, {1, bad}, nullptr));
+  }
+}
+
+TEST_F(MaskHostileTest, CarriedImageWithWrongDigestRejected) {
+  ExpectRejected(EncodeMaskRequest(digest_ ^ 1, {1, 1}, &image_));
+}
+
+TEST_F(MaskHostileTest, ImageLengthFieldMismatchRejected) {
+  std::vector<uint8_t> request = EncodeMaskRequest(digest_, {1, 1}, &image_);
+  request.push_back(0);  // Trailing byte past the declared image.
+  ExpectRejected(request);
+}
+
+TEST_F(MaskHostileTest, RandomBitFlipsNeverCrashTheExecutor) {
+  Rng rng(20261017);
+  size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    if (!executor_.has_image()) {
+      Load();
+    }
+    // Every other trial carries the image, so flips also land in it.
+    std::vector<uint8_t> request = EncodeMaskRequest(
+        digest_, {1, 1}, trial % 2 == 0 ? nullptr : &image_);
+    const int flips = 1 + static_cast<int>(rng.Below(3));
+    for (int f = 0; f < flips; ++f) {
+      request[rng.Below(request.size())] ^=
+          static_cast<uint8_t>(1u << rng.Below(8));
+    }
+    const ExecResult result = Send(request);
+    // A flip that leaves a well-formed mask over the same image (1 -> 0 in
+    // a keep byte) replays a subset; everything else is refused.
+    EXPECT_LE(result.calls.size(), 2u);
+    if (result.calls.empty()) {
+      ++rejected;
+      EXPECT_FALSE(executor_.has_image());
+    }
+  }
+  EXPECT_GT(rejected, 1500u);
+}
+
+// Corruption faults that land on a mask or on an image transfer: the
+// damaged request reaches the executor, the result is a typed failure, both
+// sides forget the image, and the next execution ships it again — with the
+// same injector draws as a VM executing every program whole.
+void ExpectCorruptionDropsImage(bool ring) {
+  FaultPlan plan;
+  plan.set_rate(FaultKind::kTruncatedResult, 0.15);
+  plan.set_rate(FaultKind::kBitFlipResult, 0.15);
+  SimClock clock;
+  SimClock reference_clock;
+  MetricRegistry metrics;
+  const KernelConfig config = KernelConfig::ForVersion(KernelVersion::kV5_11);
+  GuestVm vm(BuiltinTarget(), config, &clock, VmLatencyModel(), plan, 5,
+             &metrics);
+  GuestVm reference(BuiltinTarget(), config, &reference_clock,
+                    VmLatencyModel(), plan, 5);
+  auto run = [ring](GuestVm& guest, const ProgImage& image,
+                    const CallMask* keep) {
+    return ring ? guest.ExecRingOne(image, keep, nullptr)
+                : guest.Exec(image, keep, nullptr);
+  };
+  std::vector<int> ids;
+  for (const auto& call : BuiltinTarget().syscalls()) {
+    ids.push_back(call->id);
+  }
+  Rng rng(12);
+  const std::vector<CallMask> masks = {{1, 1, 1}, {0, 1, 1}, {1, 0, 1},
+                                       {0, 0, 1}, {1, 1, 0}};
+  size_t corrupted = 0;
+  size_t reshipped = 0;
+  for (int p = 0; p < 40; ++p) {
+    const Prog prog = BuildChain(BuiltinTarget(), ids,
+                                 {"memfd_create", "write$memfd", "close"},
+                                 &rng);
+    ASSERT_EQ(prog.size(), 3u);
+    const ProgImage image(prog);
+    bool lost = true;  // A new program always travels.
+    for (size_t m = 0; m <= masks.size(); ++m) {
+      const CallMask* keep = m == 0 ? nullptr : &masks[m - 1];
+      const MetricsSnapshot before = metrics.Snapshot();
+      const ExecResult got = run(vm, image, keep);
+      const MetricsSnapshot after = metrics.Snapshot();
+      const Prog selected =
+          keep == nullptr ? prog.Clone() : SelectCalls(prog, *keep);
+      ASSERT_TRUE(got == run(reference, ProgImage(selected), nullptr))
+          << "program " << p << " mask " << m;
+      const uint64_t shipped =
+          after.counter("healer_exec_images_shipped_total") -
+          before.counter("healer_exec_images_shipped_total");
+      if (lost) {
+        EXPECT_EQ(shipped, 1u) << "program " << p << " mask " << m;
+        reshipped += m > 0 ? 1 : 0;
+      } else {
+        EXPECT_EQ(shipped, 0u) << "program " << p << " mask " << m;
+      }
+      lost = got.Failed();
+      if (got.failure == ExecFailure::kCorruptedReply) {
+        ++corrupted;
+        EXPECT_TRUE(got.calls.empty());
+        EXPECT_FALSE(vm.HoldsImage(image));
+        EXPECT_FALSE(vm.executor().has_image());
+      }
+    }
+  }
+  EXPECT_EQ(clock.now(), reference_clock.now());
+  EXPECT_EQ(vm.injector().injected(), reference.injector().injected());
+  EXPECT_GT(corrupted, 10u);
+  EXPECT_GT(reshipped, 5u);
+}
+
+TEST(MaskFaultHostileTest, CorruptedTransfersDropTheImageOverShm) {
+  ExpectCorruptionDropsImage(false);
+}
+
+TEST(MaskFaultHostileTest, CorruptedTransfersDropTheImageOverRing) {
+  ExpectCorruptionDropsImage(true);
 }
 
 }  // namespace

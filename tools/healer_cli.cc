@@ -131,6 +131,10 @@ void PrintShardedReport(const ShardedCampaignResult& result) {
   std::printf("total execs: %llu (%.0f execs/sec aggregate)\n",
               static_cast<unsigned long long>(result.total_execs),
               secs > 0 ? static_cast<double>(result.total_execs) / secs : 0);
+  std::fputs(FormatProbeLine(result.total_execs, result.analysis_execs,
+                             result.images_shipped, result.mask_replays)
+                 .c_str(),
+             stdout);
   std::printf("union coverage: %zu branches\n", result.union_coverage);
   std::printf("union relations: %zu edges (reconciled hash %016llx)\n",
               result.union_relations,
