@@ -180,11 +180,6 @@ ExecResult Executor::Run(const Prog& prog, Bitmap* global_coverage) {
   return Replay(prog, nullptr, global_coverage);
 }
 
-ExecResult Executor::RunMasked(const Prog& prog, const CallMask& keep,
-                               Bitmap* global_coverage) {
-  return Replay(prog, keep.data(), global_coverage);
-}
-
 ExecResult Executor::Replay(const Prog& prog, const uint8_t* keep,
                             Bitmap* global_coverage) {
   ++execs_;

@@ -41,12 +41,6 @@ class Executor {
   // the fresh ones; pass nullptr for side-effect-free runs (minimization).
   ExecResult Run(const Prog& prog, Bitmap* global_coverage);
 
-  // Runs only the calls of `prog` that `keep` marks (one entry per call).
-  // Per-call results and the crash index are compacted to the kept calls,
-  // so the result equals Run(SelectCalls(prog, keep)).
-  ExecResult RunMasked(const Prog& prog, const CallMask& keep,
-                       Bitmap* global_coverage);
-
   // Wire-format entry point used by the VM transport. `data` is either a
   // program (SerializeProg bytes), which becomes the resident image and
   // runs in full, or a call-mask request (EncodeMaskRequest), which replays
@@ -87,7 +81,9 @@ class Executor {
   // Resolves a resource reference against completed calls.
   uint64_t ResolveResource(const Arg& arg,
                            const std::vector<CallExecInfo>& done) const;
-  // Runs the calls `keep` marks (nullptr: all of them).
+  // Runs the calls `keep` marks (nullptr: all of them). Per-call results
+  // and the crash index are compacted to the kept calls, so the result
+  // equals Run(SelectCalls(prog, keep)).
   ExecResult Replay(const Prog& prog, const uint8_t* keep,
                     Bitmap* global_coverage);
   // Decodes `data` as the new resident image.

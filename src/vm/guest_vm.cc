@@ -620,10 +620,11 @@ void GuestVm::DrainRing(const std::vector<Job>& jobs,
         LoseImage();
         result = FailWith(ExecFailure::kCorruptedReply);
       } else {
-        const size_t kept =
-            tag < jobs.size() ? KeptCalls(*jobs[static_cast<size_t>(tag)].image,
-                                          jobs[static_cast<size_t>(tag)].keep)
-                              : 0;
+        size_t kept = 0;
+        if (tag < jobs.size()) {
+          const Job& job = jobs[static_cast<size_t>(tag)];
+          kept = KeptCalls(*job.image, job.keep);
+        }
         set_state(VmState::kExecuting);
         result =
             EnsureExecutor().RunSerialized(bytes.data(), bytes.size(),

@@ -142,10 +142,7 @@ GuestVm* VmPool::AcquireReady(size_t lane) {
     // lane's boots or reboots, and the freelist is only authoritative once
     // it is done. Only guests with no transition in flight are handed out.
     std::lock_guard<std::mutex> pump(shard.pump_mu);
-    loop.RunUntil(std::max(loop.now(), clock_->now()));
-    if (shard.journal != nullptr) {
-      shard.journal->Flush();
-    }
+    RunDue(shard);
     if (GuestVm* vm = PopReady(lane)) {
       return vm;
     }
@@ -176,13 +173,16 @@ void VmPool::Release(size_t lane, GuestVm* vm) {
 
 void VmPool::PumpShard(size_t s) {
   Shard& shard = *shards_[s];
-  EventLoop& loop = *shard.loop;
-  const SimClock::Nanos horizon = std::max(loop.now(), clock_->now());
   std::unique_lock<std::mutex> pump(shard.pump_mu, std::try_to_lock);
   if (!pump.owns_lock()) {
     return;  // Another worker is pumping this shard; it will make progress.
   }
-  loop.RunUntil(horizon);
+  RunDue(shard);
+}
+
+void VmPool::RunDue(Shard& shard) {
+  EventLoop& loop = *shard.loop;
+  loop.RunUntil(std::max(loop.now(), clock_->now()));
   if (shard.journal != nullptr) {
     shard.journal->Flush();
   }

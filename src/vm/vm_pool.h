@@ -155,6 +155,9 @@ class VmPool {
   size_t lane_of(size_t vm_index) const { return vm_index % num_lanes_; }
   // Pops the front of `lane`'s freelist; nullptr when it is empty.
   GuestVm* PopReady(size_t lane);
+  // Runs `shard`'s due timers and completions up to the shared clock and
+  // flushes its journal. The caller holds shard.pump_mu.
+  void RunDue(Shard& shard);
   // Routes a VM whose lifecycle transition just settled: healthy guests go
   // to their lane's freelist, down guests to their shard's parked list
   // (ringing the reboot doorbell).

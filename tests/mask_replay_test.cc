@@ -305,9 +305,17 @@ TEST(MaskReplayTest, ExecutorMaskedRunMatchesMaterializedRun) {
   Rng rng(9);
   size_t crashes = 0;
   for (size_t p = 0; p < progs.size(); ++p) {
+    // The program becomes the executor's resident image; the masks then
+    // replay it without a second transfer.
+    const std::vector<uint8_t> image = SerializeProg(progs[p]);
+    ASSERT_TRUE(masked.RunSerialized(image.data(), image.size(), nullptr)
+                    .calls.size() == progs[p].size());
     for (int round = 0; round < 3; ++round) {
       const CallMask keep = RandomMask(progs[p], &rng);
-      const ExecResult a = masked.RunMasked(progs[p], keep, &masked_cov);
+      const std::vector<uint8_t> request = EncodeMaskRequest(
+          ImageDigest(image.data(), image.size()), keep, nullptr);
+      const ExecResult a =
+          masked.RunSerialized(request.data(), request.size(), &masked_cov);
       const ExecResult b =
           materialized.Run(SelectCalls(progs[p], keep), &materialized_cov);
       ASSERT_TRUE(a == b) << "program " << p << " round " << round;
