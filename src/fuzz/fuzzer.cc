@@ -90,9 +90,9 @@ Fuzzer::Fuzzer(const Target& target, FuzzerOptions options)
                EnabledSyscalls(target,
                                KernelConfig::ForVersion(options.version)),
                &rng_),
-      minimizer_(ProbeExec()),
-      learner_(nullptr, ProbeExec(), &clock_),
-      reproducer_(ProbeExec()) {
+      minimizer_(AnalysisExec()),
+      learner_(nullptr, AnalysisExec(), &clock_),
+      reproducer_(AnalysisExec()) {
   builder_.set_arena(&arena_);
   for (size_t i = 0; i < pool_.size(); ++i) {
     pool_.vm(i).set_journal(&journal_writer_);
@@ -126,17 +126,17 @@ Fuzzer::Fuzzer(const Target& target, FuzzerOptions options)
       options_.tool == ToolKind::kMoonshine) {
     choice_table_ = std::make_unique<ChoiceTable>(target_, builder_.enabled());
   }
-  learner_ = DynamicLearner(relations_.get(), ProbeExec(), &clock_);
+  learner_ = DynamicLearner(relations_.get(), AnalysisExec(), &clock_);
   if (options_.tool == ToolKind::kMoonshine) {
     LoadMoonshineSeeds();
   }
   journal_writer_.Flush();
 }
 
-MaskExecFn Fuzzer::ProbeExec() {
+MaskExecFn Fuzzer::AnalysisExec() {
   // Analysis runs (minimization / dynamic learning / crash reproduction)
-  // are call masks over the program the fuzzing execution just shipped:
-  // they execute on the VM fleet and consume simulated time, but do not
+  // are call masks over the program the fuzzing execution just shipped.
+  // They execute on the VM fleet and consume simulated time, but do not
   // merge into campaign coverage. They go through the same recovery policy
   // as fuzzing executions; a still-failed result reaches the
   // minimizer/learner as a typed failure, which both treat as "no

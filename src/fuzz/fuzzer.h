@@ -165,8 +165,7 @@ class Fuzzer {
 
  private:
   CallChooser MakeChooser(bool* used_table);
-  // The probe binding of the minimizer, learner and reproducer.
-  MaskExecFn ProbeExec();
+  MaskExecFn AnalysisExec();
   // Executes the calls of `image` that `keep` marks (nullptr: all) under the
   // recovery policy: bounded retry with exponential backoff across the
   // pool, quarantine-rebooting VMs whose consecutive-failure streak crosses
