@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -332,6 +333,8 @@ struct TransportCase {
   double fault_rate;
   uint32_t slot_bytes = RingConfig().sq_slot_bytes;
 };
+
+void PrintTo(const TransportCase& c, std::ostream* os) { *os << c.name; }
 
 class MaskTransportTest : public ::testing::TestWithParam<TransportCase> {
  protected:
