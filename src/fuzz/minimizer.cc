@@ -35,8 +35,7 @@ std::vector<MinimizedSeq> Minimizer::Minimize(const ProgImage& image,
     std::fill(keep.begin(), keep.begin() + static_cast<long>(ii) + 1, 1);
     size_t last = ii;  // Target call's index among the kept calls.
 
-    // Lines 9-17: try removing each call before the target. Removals only
-    // happen above jj, so call jj is still the jj-th kept call.
+    // Lines 9-17: try removing each call before the target.
     for (size_t jj = ii; jj-- > 0;) {
       keep[jj] = 0;
       ++execs_used_;

@@ -10,7 +10,7 @@
 // Every probe is a call mask over the program the fuzzing execution ran
 // (MaskExecFn): the guest that already holds that program replays it with
 // the masked calls skipped, so a probe ships a few bytes instead of a
-// program (DESIGN.md §5). An ExecFn that runs whole programs still works:
+// program (DESIGN.md §9). An ExecFn that runs whole programs still works:
 // it is adapted by materializing each mask with SelectCalls.
 
 #ifndef SRC_FUZZ_MINIMIZER_H_
@@ -46,7 +46,7 @@ struct MinimizedSeq {
   size_t target_index = 0;
   // That call's coverage signal in the original execution.
   uint64_t target_signal = 0;
-  // The calls of the minimized program that `prog` keeps.
+  // `prog` as a keep mask over the program Minimize was given.
   CallMask keep;
 };
 
@@ -56,9 +56,9 @@ class Minimizer {
   explicit Minimizer(ExecFn exec)
       : Minimizer(MaterializingExec(std::move(exec))) {}
 
-  // `baseline` must be the ExecResult of `prog` with per-call new_edges
+  // `baseline` must be the ExecResult of `image` with per-call new_edges
   // filled in (i.e. executed against the campaign-global bitmap).
-  std::vector<MinimizedSeq> Minimize(const ProgImage& prog,
+  std::vector<MinimizedSeq> Minimize(const ProgImage& image,
                                      const ExecResult& baseline);
   std::vector<MinimizedSeq> Minimize(const Prog& prog,
                                      const ExecResult& baseline) {

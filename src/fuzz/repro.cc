@@ -30,19 +30,17 @@ std::optional<CrashRepro> CrashReproducer::Minimize(const ProgImage& image,
     }
   }
 
-  // Greedy removal passes until a fixpoint: try each call from the back
-  // (keeping the final, crashing call). Removals only happen above the
-  // call being tried, so the pass can walk the kept calls it started with.
+  // Greedy removal passes until a fixpoint: try each call kept at the start
+  // of the pass, from the back (keeping the final, crashing call).
   bool changed = true;
-  std::vector<size_t> kept;
-  for (;;) {
-    kept.clear();
+  while (changed) {
+    std::vector<size_t> kept;
     for (size_t i = 0; i < len; ++i) {
       if (keep[i] != 0) {
         kept.push_back(i);
       }
     }
-    if (!changed || kept.size() <= 1) {
+    if (kept.size() <= 1) {
       break;
     }
     changed = false;

@@ -29,11 +29,11 @@ class CrashReproducer {
   explicit CrashReproducer(ExecFn exec)
       : CrashReproducer(MaterializingExec(std::move(exec))) {}
 
-  // Minimizes `prog` (which crashed with `bug`) to a smallest program that
+  // Minimizes `image` (which crashed with `bug`) to a smallest program that
   // still triggers the same bug. Returns nullopt if the crash does not
   // reproduce at all (flaky in a real kernel; impossible in SimKernel
   // unless the program was already altered).
-  std::optional<CrashRepro> Minimize(const ProgImage& prog, BugId bug);
+  std::optional<CrashRepro> Minimize(const ProgImage& image, BugId bug);
   std::optional<CrashRepro> Minimize(const Prog& prog, BugId bug) {
     return Minimize(ProgImage(prog), bug);
   }

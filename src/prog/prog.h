@@ -163,7 +163,7 @@ class Prog {
 
 // Which calls of a program one execution keeps: keep[i] == 1 runs call i,
 // keep[i] == 0 drops it. Algorithm 1/2 probes and crash reproduction are
-// masks over the program the fuzzing execution ran (DESIGN.md §5).
+// masks over the program the fuzzing execution ran (DESIGN.md §9).
 using CallMask = std::vector<uint8_t>;
 
 // The program `keep` selects from `prog`, built in one pass (nodes in
