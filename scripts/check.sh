@@ -8,7 +8,7 @@
 # fleet stage (reactor-fleet scaling: OS-thread ceiling + wall-clock budget
 # + storm determinism tests), a
 # relation stage (snapshot-Select speedup guard + draw-determinism tests),
-# an exec stage (ring-transport replay bench + speedup guard), an
+# an exec stage (call-mask replay and wire-hostile equivalence suites), an
 # introspect stage (live HTTP endpoints, journal export, postmortem-bundle
 # determinism), a hotpath stage (arena allocation-reduction guard +
 # two-level bitmap merge floor + arena/heap timing guards + equivalence
@@ -25,7 +25,7 @@
 #   scripts/check.sh parallel     # just the parallel scaling-bench guard
 #   scripts/check.sh fleet        # just the reactor-fleet scaling guards
 #   scripts/check.sh relation     # just the relation-engine guards
-#   scripts/check.sh exec         # just the ring-transport replay guard
+#   scripts/check.sh exec         # just the mask-replay and hostile suites
 #   scripts/check.sh introspect   # just the introspection-plane smoke
 #   scripts/check.sh hotpath      # just the hot-path memory guards
 #   scripts/check.sh distributed  # just the sharded-campaign guards
@@ -237,33 +237,17 @@ run_relation() {
 }
 
 run_exec() {
-  echo "==> exec: ring-transport replay bench, speedup guard, mask replays"
+  echo "==> exec: call-mask replays and hostile masks"
   cmake -B build -S . >/dev/null
-  cmake --build build -j"$jobs" --target bench_exec_replay healer_tests
-  local tmp
-  tmp=$(mktemp -d)
-  trap 'rm -rf "$tmp"' RETURN
-  (cd "$tmp" && "$OLDPWD/build/bench/bench_exec_replay")
-  [ -f "$tmp/BENCH_exec_replay.json" ] || {
-    echo "FAIL: BENCH_exec_replay.json not written" >&2; exit 1; }
-  # The tentpole guarantee: amortizing the per-program round-trip overhead
-  # across a drain makes the ring's per-program p50 span at batch >= 64 at
-  # least 2x better than the legacy one-at-a-time channel. The latency
-  # model measures ~3.9x here; 2x is the regression tripwire.
-  awk -F: '/"ring_vs_legacy_p50_speedup"/ {
-      gsub(/[ ,]/, "", $2); speedup=$2+0;
-      printf "    ring p50 speedup over legacy at batch 64: %.2fx (floor 2x)\n", speedup;
-      found=1; if (speedup < 2) { print "FAIL: ring speedup below 2x"; exit 1 }
-    } END { if (!found) { print "FAIL: ring_vs_legacy_p50_speedup missing"; exit 1 } }' \
-    "$tmp/BENCH_exec_replay.json"
-  # Transport equivalence: fixed-seed ring campaigns must stay bit-identical
-  # to their legacy twins (the differential that licenses the fast path).
+  cmake --build build -j"$jobs" --target healer_tests
   # Call-mask replays of the resident image must be draw-identical to
   # shipping every probe whole: SelectCalls against RemoveCall, masked
-  # against materialized executions on both transports, the analysis
-  # against its clone+RemoveCall reference, and the hostile-mask suite.
+  # against materialized executions over the shm channel (with and without
+  # faults, and when the image is too large to travel with its mask), the
+  # analysis against its clone+RemoveCall reference, and the hostile-mask
+  # suite.
   ctest --test-dir build --output-on-failure \
-    -R 'RingTransport|PipelinedRing|SelectCalls|Mask(Replay|Transport|Analysis|Binding|Hostile|FaultHostile)'
+    -R 'SelectCalls|Mask(Replay|Transport|Analysis|Binding|Hostile|FaultHostile)'
 }
 
 run_introspect() {

@@ -7,10 +7,9 @@
 //     simulated millisecond) with a per-level occupancy bitmask, so an idle
 //     loop skips straight to the next armed deadline instead of ticking;
 //   * a FIFO ready queue (Post) for immediate work;
-//   * completion sources — the WakeupFd idiom from the ring transport: a
-//     producer on any thread rings a doorbell (SignalCompletion) and the
-//     loop runs the registered handler at its next pump, with coalescing
-//     exactly like an eventfd read.
+//   * completion sources — a producer on any thread rings a doorbell
+//     (SignalCompletion) and the loop runs the registered handler at its
+//     next pump, with coalescing exactly like an eventfd read.
 //
 // Determinism contract: timers fire strictly ordered by (deadline,
 // sequence-number) — two timers armed for the same nanosecond fire in the

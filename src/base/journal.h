@@ -36,7 +36,7 @@ enum class JournalKind : uint8_t {
   kFault = 3,            // An injected infrastructure fault surfaced.
   kRecovery = 4,         // The recovery policy brought a VM back.
   kVmLifecycle = 5,      // Boot / reboot / quarantine transition.
-  kRingStall = 6,        // A drain timed out waiting on lost completions.
+  kRingStall = 6,        // Retired: no longer written. Kept so kCrash stays 7.
   kCrash = 7,            // A kernel bug was triggered.
 };
 

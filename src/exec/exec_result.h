@@ -51,11 +51,11 @@ enum class ExecFailure : uint8_t {
   kTimeout,         // The executor hung; the watchdog gave up waiting.
   kCorruptedReply,  // The wire bytes were damaged in transit.
   kBootFailure,     // The VM failed to (re)boot.
-  // Ring-transport lifecycle failures (exec_ring.h; keep kRingStall last —
-  // the completion codec bounds-checks the enum against it).
-  kRingSetup,       // Ring setup/register/mmap equivalent failed.
-  kRingTorn,        // A submission entry was torn/corrupted in the SQ.
-  kRingStall,       // The completion never arrived; the reaper gave up.
+  // Channel failures (the names date from an earlier ring transport; the
+  // values and names stay fixed so faulted journals keep their meaning).
+  kRingSetup,       // The channel could not be set up for the request.
+  kRingTorn,        // The request was torn in the shm region.
+  kRingStall,       // The reply never arrived; the watchdog gave up.
 };
 
 inline const char* ExecFailureName(ExecFailure failure) {

@@ -30,7 +30,6 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   fuzz_options.fixed_alpha = options.fixed_alpha;
   fuzz_options.fault_plan = options.fault_plan;
   fuzz_options.recovery = options.recovery;
-  fuzz_options.transport = options.transport;
   fuzz_options.trace_capacity =
       options.capture_trace ? options.trace_capacity : 0;
   fuzz_options.journal_capacity = options.journal_capacity;
@@ -93,16 +92,9 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
     const FaultStats faults = fuzzer.fault_stats();
     info.failed_execs = faults.failed_execs;
     info.quarantines = faults.quarantines;
-    // Ring/pipeline occupancy and lock share, read from the registry so the
-    // status line can never disagree with /metrics.
+    // Lock share and probe counts, read from the registry so the status
+    // line can never disagree with /metrics.
     const MetricsSnapshot snap = fuzzer.metrics().Snapshot();
-    info.ring_drains = snap.counter("healer_ring_drains_total");
-    const auto drain_hist = snap.histograms.find("healer_ring_drain_programs");
-    if (drain_hist != snap.histograms.end() && drain_hist->second.count > 0) {
-      info.ring_depth_mean = static_cast<double>(drain_hist->second.sum) /
-                             static_cast<double>(drain_hist->second.count);
-    }
-    info.ring_stalls = snap.counter("healer_ring_stalls_total");
     info.lock_held_share = snap.gauge("healer_parallel_lock_held_share");
     if (info.execs > 0) {
       const double execs = static_cast<double>(info.execs);

@@ -38,10 +38,6 @@ struct CampaignOptions {
   // campaigns stay pure functions of (options, seed, plan).
   FaultPlan fault_plan;
   RecoveryPolicy recovery;
-  // Fuzzer <-> executor transport (legacy shm channel or SQ/CQ rings); see
-  // ExecTransport in fuzzer.h. Fixed-seed campaigns are draw-identical
-  // across transports.
-  ExecTransport transport = ExecTransport::kShmChannel;
   // Optional corpus persistence: seed programs loaded before fuzzing, and
   // the final corpus written after it. Loading auto-detects the container
   // format; `corpus_format` selects what save_corpus_path is written as

@@ -36,16 +36,6 @@ const char* GuidanceModeName(GuidanceMode mode) {
   return "?";
 }
 
-const char* ExecTransportName(ExecTransport transport) {
-  switch (transport) {
-    case ExecTransport::kShmChannel:
-      return "shm-channel";
-    case ExecTransport::kRing:
-      return "ring";
-  }
-  return "?";
-}
-
 namespace {
 
 std::vector<int> EnabledSyscalls(const Target& target,
@@ -182,9 +172,7 @@ ExecResult Fuzzer::ExecWithRecovery(const ProgImage& image,
     GuestVm* vm_ptr = AcquireFuzzVm(&lane);
     GuestVm& vm = *vm_ptr;
     m_.exec_attempts->Add();
-    ExecResult result = options_.transport == ExecTransport::kRing
-                            ? vm.ExecRingOne(image, keep, coverage)
-                            : vm.Exec(image, keep, coverage);
+    ExecResult result = vm.Exec(image, keep, coverage);
     if (!result.Failed()) {
       ReleaseFuzzVm(lane, vm_ptr);
       m_.exec_ok->Add();
@@ -488,16 +476,12 @@ void Fuzzer::WritePostmortem(const CrashRecord& crash) {
   bundle.crash = crash;
   bundle.seed = options_.seed;
   bundle.tool = ToolKindName(options_.tool);
-  bundle.transport = ExecTransportName(options_.transport);
   if (current_prog_ != nullptr) {
     bundle.program_text = current_prog_->ToString() + "\n";
   }
   bundle.journal_window = journal_.Tail(kPostmortemJournalWindow);
   RefreshGauges();
   bundle.metrics = metrics_.Snapshot();
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    bundle.rings.push_back(pool_.vm(i).ring_occupancy());
-  }
   bundle.relation_epoch = relations_->epoch();
   bundle.relation_edges = relations_->Count();
   bundle.relation_static =

@@ -55,17 +55,6 @@ enum class GuidanceMode {
 
 const char* GuidanceModeName(GuidanceMode mode);
 
-// Which fuzzer <-> executor transport executions travel through. For a
-// fixed seed the ring transport is draw-identical to the legacy channel
-// (same per-program fault stream, same feedback, same archive decisions);
-// the differential tests pin that equivalence.
-enum class ExecTransport : uint8_t {
-  kShmChannel = 0,  // Legacy one-program-at-a-time handshake.
-  kRing,            // Paired SQ/CQ rings (exec_ring.h), batched submit.
-};
-
-const char* ExecTransportName(ExecTransport transport);
-
 struct FuzzerOptions {
   ToolKind tool = ToolKind::kHealer;
   KernelVersion version = KernelVersion::kV5_11;
@@ -84,8 +73,6 @@ struct FuzzerOptions {
   // surviving it; see fault_plan.h.
   FaultPlan fault_plan;
   RecoveryPolicy recovery;
-  // Transport executions travel through (see ExecTransport).
-  ExecTransport transport = ExecTransport::kShmChannel;
   // Span-trace ring capacity (0 disables tracing entirely; recording then
   // costs one predicted branch per span, no lock).
   size_t trace_capacity = 0;

@@ -22,7 +22,7 @@
 //       24    8 payload checksum (FastBytesHash)
 //       32    — payload bytes
 //
-// Hostile-input posture mirrors the HCORP1 loader and the exec ring codec:
+// Hostile-input posture mirrors the HCORP1 loader and the program wire codec:
 // every length is bounds-checked before use, the payload checksum is
 // verified before the payload is parsed, unknown versions/types are typed
 // parse errors, and payload decoders validate every id/index against the

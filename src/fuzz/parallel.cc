@@ -63,15 +63,14 @@ class TimedLock {
 class Worker {
  public:
   Worker(const Target& target, const ParallelOptions& options,
-         SharedFuzzState* shared, size_t index, VmPool* pool,
-         const SimClock* sim_clock)
+         SharedFuzzState* shared, size_t index, VmPool* pool, SimClock* clock)
       : target_(target),
         options_(options),
         shared_(shared),
         rng_(options.seed * 7919 + index),
         pool_(pool),
         lane_(index % pool->num_lanes()),
-        sim_clock_(sim_clock),
+        clock_(clock),
         tid_(static_cast<uint32_t>(index)),
         m_(&shared->metrics),
         pm_(&shared->metrics),
@@ -81,16 +80,12 @@ class Worker {
         selector_(&shared->relations, builder_.enabled(), &rng_),
         jw_(&shared->journal, static_cast<uint32_t>(index)) {
     // Candidate programs are built in the worker-private arena and die at
-    // the end of each iteration (or pipelined round); corpus survivors are
-    // heap clones staged by the minimizer, so they outlive resets.
+    // the end of each iteration; corpus survivors are heap clones staged by
+    // the minimizer, so they outlive resets.
     builder_.set_arena(&arena_);
   }
 
   void Run() {
-    if (options_.pipeline_depth > 1) {
-      RunPipelined();
-      return;
-    }
     while (true) {
       // The previous iteration's candidate is dead; reclaim its nodes.
       arena_.Reset();
@@ -113,15 +108,14 @@ class Worker {
  private:
   // ---- fleet lane protocol ----
   // A worker owns a guest only for the execution+feedback half of an
-  // iteration (or one pipelined round): acquired from the lane freelist,
-  // released when the feedback is staged. In the legacy topology the lane
-  // holds exactly one pinned VM and release is a no-op, so the protocol
-  // collapses to the historical worker-owns-VM model.
+  // iteration: acquired from the lane freelist, released when the feedback
+  // is staged. In the legacy topology the lane holds exactly one pinned VM
+  // and release is a no-op, so the protocol collapses to the historical
+  // worker-owns-VM model.
   GuestVm& AcquireVm() {
     GuestVm* vm = pool_->AcquireReady(lane_);
-    // Lifecycle / fault / ring-stall records route through this worker's
-    // writer while it drives the VM (single producer: the VM is checked
-    // out of the freelist).
+    // Lifecycle records route through this worker's writer while it drives
+    // the VM (single producer: the VM is checked out of the freelist).
     vm->set_journal(&jw_);
     vm_ = vm;
     return *vm;
@@ -155,6 +149,7 @@ class Worker {
   struct PendingCrash {
     BugId bug;
     std::string title;
+    SimClock::Nanos when;
     uint64_t exec_index;
     size_t repro_len;
   };
@@ -208,101 +203,46 @@ class Worker {
     pm_.snapshot_refresh->Add();
   }
 
-  // Runs `prog` on this worker's VM under the recovery policy: bounded
-  // retry, quarantine-rebooting the VM when its failure streak crosses the
-  // threshold. Lock-free: the VM is worker-owned, the campaign bitmap
-  // merges atomically, and the sim clock advances atomically. Every failure
-  // is accounted in the shared registry's recovery counters, so the per-VM
-  // infra_faults counters and the recovery-side failed_execs agree. A
-  // faulted execution merged nothing into the shared coverage, so retrying
-  // is safe; a still-Failed() return means the program's feedback must be
-  // discarded.
-  // The pipelined submit path: claim up to pipeline_depth tickets, build
-  // that many programs lock-free, submit them all into the VM's SQ ring in
-  // one ExecBatch, then run the recovery tail and feedback processing per
-  // completion. The VM charges its round-trip overhead once per drain, so
-  // deep pipelines amortize it across hundreds of in-flight programs.
-  void RunPipelined() {
-    while (true) {
-      // All of the previous round's in-flight programs have been reaped;
-      // reset here (never inside BuildOne — up to pipeline_depth candidates
-      // are alive simultaneously within a round).
-      arena_.Reset();
-      std::vector<PendingExec> pending;
-      pending.reserve(options_.pipeline_depth);
-      while (pending.size() < options_.pipeline_depth) {
-        const uint64_t ticket =
-            shared_->exec_tickets.fetch_add(1, std::memory_order_relaxed);
-        if (ticket >= options_.total_execs) {
-          break;
-        }
-        pending.push_back(BuildOne(ticket));
-      }
-      if (pending.empty()) {
-        break;
-      }
-      // Submit every non-empty program in claim order; completion tags are
-      // indices into `progs`, reaped in submission order.
-      std::vector<const Prog*> progs;
-      std::vector<size_t> pending_of;
-      progs.reserve(pending.size());
-      pending_of.reserve(pending.size());
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (!pending[i].prog.empty()) {
-          progs.push_back(&pending[i].prog);
-          pending_of.push_back(i);
-        }
-      }
-      bool urgent = false;
-      if (!progs.empty()) {
-        TraceSpan span(&shared_->trace, sim_clock_, "exec-batch", "vm", tid_);
-        m_.exec_attempts->Add(progs.size());
-        AcquireVm();
-        std::vector<RingCompletion> completions =
-            vm_->ExecBatch(progs, &shared_->coverage);
-        for (RingCompletion& completion : completions) {
-          const PendingExec& p =
-              pending[pending_of[static_cast<size_t>(completion.tag)]];
-          const ProgImage image(p.prog);
-          const ExecResult result =
-              RetryTail(image, nullptr, &shared_->coverage,
-                        std::move(completion.result));
-          urgent |= HandleFeedback(p, image, result);
-        }
-        ReleaseVm();
-      }
-      if (urgent || batch_.execs >= options_.batch_size) {
-        Publish();
-        PumpLaneShard();
-      }
-    }
-    Publish();     // Final flush.
-    jw_.Flush();   // Records staged inside the final Publish itself.
-    PumpLaneShard();
-  }
-
-  // One execution of the calls of `image` that `keep` marks (nullptr: all)
-  // on this worker's VM, routed by transport: the pipelined path
-  // (pipeline_depth > 1) keeps retries and analysis probes on the ring so a
-  // worker uses exactly one transport for its whole campaign.
-  ExecResult ExecOne(const ProgImage& image, const CallMask* keep,
-                     Bitmap* coverage) {
-    return options_.pipeline_depth > 1
-               ? vm_->ExecRingOne(image, keep, coverage)
-               : vm_->Exec(image, keep, coverage);
-  }
-
-  // The recovery tail shared by both transports: takes the result of an
-  // already-attempted (and already attempt-counted) execution and applies
-  // the bounded-retry/quarantine policy. Every observed failure is counted
-  // once, which keeps the per-VM infra_faults counters and the
-  // recovery-side failed_execs in agreement — including ring completions
-  // that failed inside a batched drain.
-  ExecResult RetryTail(const ProgImage& image, const CallMask* keep,
-                       Bitmap* coverage, ExecResult result) {
+  // Runs the calls of `image` that `keep` marks (nullptr: all) on this
+  // worker's VM under the recovery policy, as Fuzzer::ExecWithRecovery
+  // does: bounded retry with doubling backoff on the campaign clock,
+  // quarantine-rebooting the VM when its failure streak crosses the
+  // threshold, a fault record per failed attempt and a recovery record per
+  // recovered execution. Lock-free: the VM is worker-owned, the campaign
+  // bitmap merges atomically, and the sim clock advances atomically. Every
+  // failure is accounted in the shared registry's recovery counters, so
+  // the per-VM infra_faults counters and the recovery-side failed_execs
+  // agree. A faulted execution merged nothing into the shared coverage, so
+  // retrying is safe; a still-Failed() return means the program's feedback
+  // must be discarded.
+  ExecResult ExecWithRecovery(const ProgImage& image, const CallMask* keep,
+                              Bitmap* coverage) {
+    TraceSpan span(&shared_->trace, clock_, "exec", "vm", tid_);
+    // Length of the program that runs, for the journal.
+    const size_t len =
+        keep == nullptr ? image.prog().size()
+                        : static_cast<size_t>(
+                              std::count(keep->begin(), keep->end(), 1));
+    SimClock::Nanos backoff = options_.recovery.backoff;
     int attempt = 0;
-    while (result.Failed()) {
+    while (true) {
+      m_.exec_attempts->Add();
+      ExecResult result = vm_->Exec(image, keep, coverage);
+      if (!result.Failed()) {
+        m_.exec_ok->Add();
+        if (attempt > 0) {
+          m_.exec_recovered->Add();
+          // Payload: a = retries it took, b = program length.
+          jw_.Record(JournalKind::kRecovery, clock_->now(),
+                     static_cast<uint64_t>(attempt), len);
+        }
+        return result;
+      }
       m_.exec_failed->Add();
+      // Payload: a = attempt index, b = program length.
+      jw_.Record(JournalKind::kFault, clock_->now(),
+                 static_cast<uint64_t>(attempt), len, 0,
+                 ExecFailureName(result.failure));
       if (vm_->consecutive_failures() >=
           options_.recovery.quarantine_threshold) {
         vm_->QuarantineReboot();
@@ -314,47 +254,26 @@ class Worker {
       }
       ++attempt;
       m_.exec_retries->Add();
-      m_.exec_attempts->Add();
-      result = ExecOne(image, keep, coverage);
+      clock_->Advance(backoff);
+      backoff *= 2;
     }
-    m_.exec_ok->Add();
-    if (attempt > 0) {
-      m_.exec_recovered->Add();
-    }
-    return result;
   }
 
-  ExecResult ExecWithRecovery(const ProgImage& image, const CallMask* keep,
-                              Bitmap* coverage) {
-    TraceSpan span(&shared_->trace, sim_clock_, "exec", "vm", tid_);
-    m_.exec_attempts->Add();
-    return RetryTail(image, keep, coverage, ExecOne(image, keep, coverage));
-  }
-
-  // One claimed exec slot: the built program plus the selection context the
-  // feedback phase needs. `prog` may be empty (a wasted slot, still
-  // consumed).
-  struct PendingExec {
-    uint64_t ticket = 0;
-    Prog prog;
-    bool used_table = false;
-  };
-
-  // Front half of one iteration, entirely lock-free: refresh the snapshot,
-  // pick generate-or-mutate, and build the program. Consumes the exec-slot
-  // accounting.
-  PendingExec BuildOne(uint64_t ticket) {
+  // One fuzzing iteration, entirely outside the publish lock: build a
+  // program against the read-mostly views, execute it, and stage its
+  // feedback. Returns true if the batch should publish immediately (new
+  // coverage or a crash).
+  bool Step(uint64_t ticket) {
     RefreshSnapshot();
     const double alpha = std::bit_cast<double>(
         shared_->alpha_bits.load(std::memory_order_relaxed));
-    PendingExec pending;
-    pending.ticket = ticket;
+    bool used_table = false;
     bool mutated = false;
     Prog prog(&target_);
     if (snapshot_ != nullptr && !snapshot_->empty() && rng_.Chance(3, 5)) {
       prog = snapshot_->Choose(&rng_).CloneInto(&arena_);
     }
-    CallChooser chooser = MakeChooser(alpha, &pending.used_table);
+    CallChooser chooser = MakeChooser(alpha, &used_table);
     if (prog.empty()) {
       prog = builder_.Generate(chooser, 4 + rng_.Below(10));
     } else {
@@ -373,39 +292,27 @@ class Worker {
     // c = program length).
     ++batch_.execs;
     m_.fuzz_execs->Add();
-    jw_.Record(JournalKind::kExec, sim_clock_->now(), ticket,
-               mutated ? 1 : 0, prog.size());
-    if (!prog.empty()) {
-      (mutated ? m_.mutated : m_.generated)->Add();
-      m_.prog_len->Observe(prog.size());
-    }
-    pending.prog = std::move(prog);
-    return pending;
-  }
-
-  // One fuzzing iteration, entirely outside the publish lock. Returns true
-  // if the batch should publish immediately (new coverage or a crash).
-  bool Step(uint64_t ticket) {
-    PendingExec pending = BuildOne(ticket);
-    if (pending.prog.empty()) {
+    jw_.Record(JournalKind::kExec, clock_->now(), ticket, mutated ? 1 : 0,
+               prog.size());
+    if (prog.empty()) {
       return false;
     }
+    (mutated ? m_.mutated : m_.generated)->Add();
+    m_.prog_len->Observe(prog.size());
     AcquireVm();
-    const ProgImage image(pending.prog);
+    const ProgImage image(prog);
     const ExecResult result =
         ExecWithRecovery(image, nullptr, &shared_->coverage);
-    const bool urgent = HandleFeedback(pending, image, result);
+    const bool urgent = HandleFeedback(ticket, used_table, image, result);
     ReleaseVm();
     return urgent;
   }
 
-  // Back half of one iteration: feedback processing for a recovered (or
-  // finally-failed) result. Returns true if the batch should publish
-  // immediately (new coverage or a crash).
-  bool HandleFeedback(const PendingExec& pending, const ProgImage& image,
+  // Feedback processing for a recovered (or finally-failed) result.
+  // Returns true if the batch should publish immediately (new coverage or
+  // a crash).
+  bool HandleFeedback(uint64_t ticket, bool used_table, const ProgImage& image,
                       const ExecResult& result) {
-    const uint64_t ticket = pending.ticket;
-    const bool used_table = pending.used_table;
     if (result.Failed()) {
       return false;  // Feedback discarded; the exec slot is still consumed.
     }
@@ -420,13 +327,15 @@ class Worker {
     bool urgent = false;
     if (result.Crashed()) {
       m_.crash_reports->Add();
+      const SimClock::Nanos now = clock_->now();
       // a = bug, b = exec index, c = crashing call index.
-      jw_.Record(JournalKind::kCrash, sim_clock_->now(),
+      jw_.Record(JournalKind::kCrash, now,
                  static_cast<uint64_t>(result.crash->bug), ticket + 1,
                  result.crash->call_index + 1, result.crash->title);
-      batch_.crashes.push_back(PendingCrash{
-          result.crash->bug, result.crash->title, ticket + 1,
-          result.crash->call_index + 1});
+      batch_.crashes.push_back(PendingCrash{result.crash->bug,
+                                            result.crash->title, now,
+                                            ticket + 1,
+                                            result.crash->call_index + 1});
       urgent = true;
     }
     if (!gained) {
@@ -443,7 +352,7 @@ class Worker {
       return ExecWithRecovery(base, &keep, nullptr);
     };
     Minimizer minimizer(probe);
-    DynamicLearner learner(&shared_->relations, probe, &clock_);
+    DynamicLearner learner(&shared_->relations, probe, clock_);
     std::vector<MinimizedSeq> minimized = minimizer.Minimize(image, result);
     m_.minimize_rounds->Add();
     m_.minimize_probes->Add(minimizer.execs_used());
@@ -465,7 +374,7 @@ class Worker {
       // a = minimized length, b = priority; c stays 0 — the fleet corpus
       // size is only known at publish time, and a locally-staged add can
       // still lose the dedup race there.
-      jw_.Record(JournalKind::kCorpusAdd, sim_clock_->now(), seq.prog.size(),
+      jw_.Record(JournalKind::kCorpusAdd, clock_->now(), seq.prog.size(),
                  priority, 0);
       batch_.adds.push_back(PendingAdd{std::move(seq.prog), priority, hash});
     }
@@ -475,7 +384,7 @@ class Worker {
   // The only place SharedFuzzState::mu is taken: merges this worker's batch
   // into the authoritative state in one short critical section.
   void Publish() {
-    // Drain the staged journal records first (one ring-lock acquire), so
+    // Drain the staged journal records first (one journal-lock acquire), so
     // the flight recorder and the metrics publish on the same cadence.
     jw_.Flush();
     if (batch_.Empty()) {
@@ -509,7 +418,8 @@ class Worker {
     pm_.batched_execs->Add(batch_.execs);
     for (const PendingCrash& crash : batch_.crashes) {
       const bool is_new = shared_->crashes.Record(
-          crash.bug, crash.title, 0, crash.exec_index, crash.repro_len);
+          crash.bug, crash.title, crash.when, crash.exec_index,
+          crash.repro_len);
       if (is_new) {
         m_.crash_new->Add();
       }
@@ -528,8 +438,8 @@ class Worker {
         shared_->alpha_bits.store(
             std::bit_cast<uint64_t>(shared_->alpha.alpha()),
             std::memory_order_relaxed);
-        shared_->trace.RecordInstant("alpha-update", "alpha",
-                                     sim_clock_->now(), tid_);
+        shared_->trace.RecordInstant("alpha-update", "alpha", clock_->now(),
+                                     tid_);
       }
     }
     bool added = false;
@@ -551,17 +461,16 @@ class Worker {
   const ParallelOptions& options_;
   SharedFuzzState* shared_;
   Rng rng_;
-  SimClock clock_;  // Worker-local timestamps for learned relations.
   VmPool* pool_;
   size_t lane_;
   GuestVm* vm_ = nullptr;  // Checked out between AcquireVm and ReleaseVm.
-  const SimClock* sim_clock_;  // The fleet clock, for trace timestamps.
+  SimClock* clock_;  // The shared campaign clock.
   uint32_t tid_;
   FuzzMetrics m_;
   ParallelMetrics pm_;
   JournalWriter* shard_journal_ = nullptr;
   // Declared before builder_ (which borrows it); worker-private, reset at
-  // iteration / pipelined-round boundaries.
+  // iteration boundaries.
   ProgArena arena_;
   ProgBuilder builder_;
   CallSelector selector_;

@@ -119,13 +119,6 @@ struct ParallelOptions {
   // Fault injection (empty = fault-free) and per-worker recovery policy.
   FaultPlan fault_plan;
   RecoveryPolicy recovery;
-  // Programs each worker keeps in flight on its VM per submit/drain round.
-  // 1 = the legacy one-at-a-time shm path; >= 2 switches the worker to the
-  // batched SQ/CQ ring transport (GuestVm::ExecBatch): it claims up to
-  // pipeline_depth exec tickets, builds that many programs, submits them
-  // all into the VM's SQ, and processes feedback per completion — hundreds
-  // of programs in flight per VM with one round-trip overhead per drain.
-  size_t pipeline_depth = 1;
   // Span-trace ring capacity (0 disables tracing).
   size_t trace_capacity = 0;
   // Flight-recorder ring capacity (0 disables journaling).

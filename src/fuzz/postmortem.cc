@@ -53,27 +53,7 @@ std::string CrashJson(const PostmortemBundle& bundle) {
                    (unsigned long long)crash.first_exec);
   out += StrFormat("  \"shortest_repro\": %zu,\n", crash.shortest_repro);
   out += StrFormat("  \"seed\": %llu,\n", (unsigned long long)bundle.seed);
-  out += StrFormat("  \"tool\": \"%s\",\n", JsonEscape(bundle.tool).c_str());
-  out += StrFormat("  \"transport\": \"%s\"\n",
-                   JsonEscape(bundle.transport).c_str());
-  out += "}\n";
-  return out;
-}
-
-std::string RingsJson(const std::vector<RingOccupancy>& rings) {
-  std::string out = "{\n  \"vms\": [";
-  for (size_t i = 0; i < rings.size(); ++i) {
-    const RingOccupancy& occ = rings[i];
-    out += StrFormat(
-        "%s\n    {\"vm\": %zu, \"sq_depth\": %u, \"sq_entries\": %u, "
-        "\"cq_depth\": %u, \"cq_entries\": %u, \"sq_pushes\": %llu, "
-        "\"cq_pushes\": %llu, \"sq_full_rejects\": %llu}",
-        i == 0 ? "" : ",", i, occ.sq_depth, occ.sq_entries, occ.cq_depth,
-        occ.cq_entries, (unsigned long long)occ.sq_pushes,
-        (unsigned long long)occ.cq_pushes,
-        (unsigned long long)occ.sq_full_rejects);
-  }
-  out += rings.empty() ? "]\n" : "\n  ]\n";
+  out += StrFormat("  \"tool\": \"%s\"\n", JsonEscape(bundle.tool).c_str());
   out += "}\n";
   return out;
 }
@@ -150,9 +130,6 @@ Result<std::string> WritePostmortemBundle(const std::string& dir,
   if (status.ok()) {
     status = WriteFile(bundle_dir / "metrics.prom",
                        bundle.metrics.ToPrometheusText());
-  }
-  if (status.ok()) {
-    status = WriteFile(bundle_dir / "rings.json", RingsJson(bundle.rings));
   }
   if (status.ok()) {
     status = WriteFile(bundle_dir / "relations.json", RelationsJson(bundle));

@@ -1,9 +1,8 @@
 // Crash postmortem bundles: the black box that ships with every unique
 // crash. When CrashDb sees a previously-unseen bug its on_new_crash hook
 // assembles a PostmortemBundle — triggering program, the last-N flight-
-// recorder window, a full metrics snapshot, per-VM SQ/CQ ring occupancy and
-// the relation-table state — and writes it as one self-contained directory
-// under --postmortem-dir:
+// recorder window, a full metrics snapshot and the relation-table state —
+// and writes it as one self-contained directory under --postmortem-dir:
 //
 //   bug-<id>-<slug>/
 //     crash.json      bug id, title, trigger exec/time, campaign identity
@@ -11,7 +10,6 @@
 //     journal.jsonl   newest <= kPostmortemJournalWindow journal records
 //     journal.bin     the same window in the compact binary frame
 //     metrics.prom    Prometheus text snapshot at trigger time
-//     rings.json      per-VM SQ/CQ depth + lifetime transport counters
 //     relations.json  epoch, edge counts by source, staged-delta backlog
 //     repro.txt       minimized reproducer (appended after minimization)
 //
@@ -28,7 +26,6 @@
 #include "src/base/journal.h"
 #include "src/base/metrics.h"
 #include "src/base/status.h"
-#include "src/exec/exec_ring.h"
 #include "src/fuzz/crash_db.h"
 
 namespace healer {
@@ -41,11 +38,9 @@ struct PostmortemBundle {
   // Campaign identity, so a bundle is interpretable standalone.
   uint64_t seed = 0;
   std::string tool;
-  std::string transport;
   std::string program_text;  // Triggering program.
   std::vector<JournalRecord> journal_window;
   MetricsSnapshot metrics;
-  std::vector<RingOccupancy> rings;  // One per VM, pool order.
   uint64_t relation_epoch = 0;
   uint64_t relation_edges = 0;
   uint64_t relation_static = 0;

@@ -160,10 +160,6 @@ std::string FormatStatusLine(const StatusLineInfo& info) {
                      (unsigned long long)info.failed_execs,
                      (unsigned long long)info.quarantines);
   }
-  if (info.ring_drains > 0) {
-    out += StrFormat(", ring %.1f/drain (%llu stalls)", info.ring_depth_mean,
-                     (unsigned long long)info.ring_stalls);
-  }
   if (info.lock_held_share > 0) {
     out += StrFormat(", lock %.3f", info.lock_held_share);
   }
@@ -192,16 +188,12 @@ std::string FormatStatusJson(const StatusLineInfo& info) {
       "{\"hours\": %.4f, \"execs\": %llu, \"execs_per_sec\": %.2f, "
       "\"coverage\": %zu, \"corpus\": %zu, \"relations\": %zu, "
       "\"crashes\": %zu, \"vms\": %zu, \"failed_execs\": %llu, "
-      "\"quarantines\": %llu, \"ring_drains\": %llu, "
-      "\"ring_depth_mean\": %.2f, \"ring_stalls\": %llu, "
-      "\"lock_held_share\": %.4f, \"probes_per_exec\": %.4f, "
-      "\"images_per_exec\": %.4f",
+      "\"quarantines\": %llu, \"lock_held_share\": %.4f, "
+      "\"probes_per_exec\": %.4f, \"images_per_exec\": %.4f",
       info.hours, (unsigned long long)info.execs, info.execs_per_sec,
       info.coverage, info.corpus, info.relations, info.crashes, info.vms,
       (unsigned long long)info.failed_execs,
-      (unsigned long long)info.quarantines,
-      (unsigned long long)info.ring_drains, info.ring_depth_mean,
-      (unsigned long long)info.ring_stalls, info.lock_held_share,
+      (unsigned long long)info.quarantines, info.lock_held_share,
       info.probes_per_exec, info.images_per_exec);
   if (!info.fleet.empty()) {
     out += ", \"fleet\": [";

@@ -45,11 +45,6 @@ struct StatusLineInfo {
   size_t vms = 0;
   uint64_t failed_execs = 0;  // Infra faults surfaced so far.
   uint64_t quarantines = 0;
-  // Ring-transport occupancy (healer_ring_*): drains so far, mean programs
-  // per drain, stalls. All zero on the legacy shm transport.
-  uint64_t ring_drains = 0;
-  double ring_depth_mean = 0.0;
-  uint64_t ring_stalls = 0;
   // Share of wall time SharedFuzzState::mu was held (parallel fuzzer only;
   // 0 for the single-threaded loop, where there is no shared lock).
   double lock_held_share = 0.0;
@@ -63,8 +58,7 @@ struct StatusLineInfo {
 };
 
 // syz-manager style: "12.5h: execs 48123 (22/sec sim), cover 1234, ...".
-// Ring occupancy is appended when the campaign drained at least one ring
-// batch; the lock share when it is non-zero.
+// The lock share is appended when it is non-zero.
 std::string FormatStatusLine(const StatusLineInfo& info);
 
 // The same sample as a single-line JSON object (the /status endpoint body).

@@ -32,13 +32,13 @@ enum class FaultKind : uint8_t {
   kBitFlipResult,    // One bit of the shm wire bytes is corrupted.
   kSlowVm,           // Latency spike: the exec completes but takes longer.
   kBootFailure,      // The guest fails to (re)boot and stays down.
-  // Ring-transport lifecycle faults (exec_ring.h), modelled on the
-  // setup/register/mmap/enter failure points a real io_uring transport
-  // probes. On the legacy one-at-a-time path they degrade to the closest
-  // shm-channel equivalent so any plan is valid on either transport.
-  kRingSetup,        // Ring setup/register/mmap equivalent fails.
-  kRingTorn,         // A submission entry is torn mid-flight in the SQ.
-  kRingStall,        // A completion stalls; the reaper waits out the watchdog.
+  // Faults of the shm channel and control socket themselves. Setup and
+  // torn faults waste one round trip; a stall loses the reply, so the
+  // watchdog fires and the guest goes down. (The names and plan keys date
+  // from an earlier ring transport; they stay so plans draw the same.)
+  kRingSetup,        // The channel cannot be set up for the request.
+  kRingTorn,         // The request is torn in the shm region.
+  kRingStall,        // The reply is lost; the watchdog fires.
 };
 inline constexpr size_t kNumFaultKinds = 9;
 

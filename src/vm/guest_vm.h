@@ -17,8 +17,8 @@
 //                                  recovery   ▼              │
 //                                        kQuarantined ───────┘
 //
-// Two drivers advance it. The synchronous path (Exec/ExecBatch) charges the
-// shared campaign clock inline, exactly as it always has — a crashed guest
+// Two drivers advance it. The synchronous path (Exec) charges the shared
+// campaign clock inline, exactly as it always has — a crashed guest
 // reboots at the top of its next execution. The reactor path
 // (StartBootAsync/StartRebootAsync) instead arms a timer on an EventLoop
 // shard and transitions when it fires, so hundreds of overlapping
@@ -32,8 +32,8 @@
 // (consecutive failures, infra faults, quarantines) feed the recovery
 // policy and the Monitor's per-VM health report.
 //
-// Transports (executor, shm channel, rings — ~5 MiB together) allocate
-// lazily on first execution: a fleet of thousands of cold or boot-looping
+// The executor and the shm channel (~5 MiB together) allocate lazily on
+// first execution: a fleet of thousands of cold or boot-looping
 // guests costs kilobytes each, which is what makes 2048-VM storm scenarios
 // runnable (the boot handshake itself only touches the control socket).
 //
@@ -60,22 +60,11 @@
 #include "src/base/journal.h"
 #include "src/base/metrics.h"
 #include "src/base/sim_clock.h"
-#include "src/exec/exec_ring.h"
 #include "src/exec/executor.h"
 #include "src/exec/shm_channel.h"
 #include "src/vm/fault_plan.h"
 
 namespace healer {
-
-// One reaped ring completion: the program's submission tag (its index in the
-// batch handed to ExecBatch), the decoded result, and the simulated time at
-// which the completion became visible to the host (used by the replay bench
-// to measure inter-completion spans).
-struct RingCompletion {
-  uint64_t tag = 0;
-  ExecResult result;
-  SimClock::Nanos completed_at = 0;
-};
 
 struct VmLatencyModel {
   SimClock::Nanos boot = 10 * SimClock::kSecond;
@@ -95,7 +84,7 @@ enum class VmState : uint8_t {
   kBooting,      // Boot latency in flight (async) or handshake running.
   kReady,        // Healthy, waiting for work.
   kExecuting,    // A program round trip is in flight.
-  kCrashed,      // Guest down (kernel crash, lost VM, watchdog, ring stall).
+  kCrashed,      // Guest down (kernel crash, lost VM, watchdog, lost reply).
   kRebooting,    // Reboot latency in flight.
   kQuarantined,  // Parked by the recovery policy pending a forced reboot.
 };
@@ -112,8 +101,7 @@ class GuestVm {
   GuestVm(const Target& target, const KernelConfig& config, SimClock* clock,
           VmLatencyModel latency = VmLatencyModel(),
           const FaultPlan& fault_plan = FaultPlan(), uint64_t fault_seed = 0,
-          MetricRegistry* metrics = nullptr,
-          RingConfig ring_config = RingConfig());
+          MetricRegistry* metrics = nullptr);
 
   // Boots the guest and performs the executor handshake (blocking: charges
   // the campaign clock inline).
@@ -157,26 +145,6 @@ class GuestVm {
   ExecResult Exec(const ProgImage& image, const CallMask* keep,
                   Bitmap* global_coverage);
 
-  // Batched transport: submits the programs into the SQ ring, drains the
-  // executor multi-shot, and reaps one completion per program from the CQ,
-  // in submission order. The per-drain round-trip overhead is charged once
-  // per drain (not once per program) — the ring's throughput win. Fault
-  // semantics per program mirror Exec: each program consumes exactly one
-  // injector draw in submission order, so for a fixed program sequence and
-  // fault seed the per-program results are bit-identical to a sequence of
-  // legacy Exec calls. Programs too large for an SQ slot spill to the
-  // legacy one-at-a-time channel transparently.
-  std::vector<RingCompletion> ExecBatch(const std::vector<const Prog*>& progs,
-                                        Bitmap* global_coverage);
-
-  // Single-program convenience over ExecBatch (batch of one). On the
-  // fault-free path its clock charges equal Exec's, which keeps fixed-seed
-  // campaigns over the ring transport draw-identical to legacy ones.
-  ExecResult ExecRingOne(const Prog& prog, Bitmap* global_coverage);
-  // The masked execution of Exec(image, keep, ...) over the rings.
-  ExecResult ExecRingOne(const ProgImage& image, const CallMask* keep,
-                         Bitmap* global_coverage);
-
   // True when this VM's guest holds `image` as its resident image.
   bool HoldsImage(const ProgImage& image) const {
     return resident_ && resident_digest_ == image.digest();
@@ -187,7 +155,7 @@ class GuestVm {
   void QuarantineReboot();
 
   // Attaches a flight-recorder writer; the VM records lifecycle transitions
-  // (boot, reboot, quarantine) and ring stalls into it. The writer is owned
+  // (boot, reboot, quarantine) into it. The writer is owned
   // by the VM's driving worker (which also flushes it), so recording stays
   // single-producer even in the parallel fuzzer.
   void set_journal(JournalWriter* journal) { journal_ = journal; }
@@ -198,15 +166,6 @@ class GuestVm {
 
   const Executor& executor() const { return EnsureExecutor(); }
   const FaultInjector& injector() const { return injector_; }
-  // Ring transport internals, exposed for the property/hostile test
-  // harnesses; production callers go through ExecBatch/ExecRingOne.
-  ExecRing& ring() { return EnsureRing(); }
-  ControlSocket& ctrl() { return ctrl_; }
-  // Non-allocating occupancy probe: all-zero until the ring transport has
-  // been exercised (introspection must not inflate a lazy fleet).
-  RingOccupancy ring_occupancy() const {
-    return ring_ != nullptr ? ring_->Occupancy() : RingOccupancy{};
-  }
   uint64_t execs() const { return execs_.load(std::memory_order_relaxed); }
   uint64_t crashes() const {
     return crashes_.load(std::memory_order_relaxed);
@@ -232,31 +191,15 @@ class GuestVm {
   void JournalLifecycleAt(SimClock::Nanos at, const char* what);
   // Records an infra failure and builds the typed failure result.
   ExecResult FailWith(ExecFailure failure);
-  // One execution of a ring batch.
-  struct Job {
-    const ProgImage* image = nullptr;
-    const CallMask* keep = nullptr;  // nullptr: every call.
-  };
-  std::vector<RingCompletion> RingBatch(const std::vector<Job>& jobs,
-                                        Bitmap* global_coverage);
-  // Executor side of one ring round trip: pops every pending SQ entry,
-  // executes it (applying per-program faults), posts completions, then reaps
-  // the CQ into `out`. `first_tag`/`count` identify the tags submitted this
-  // drain so lost completions can be timed out as ring stalls.
-  void DrainRing(const std::vector<Job>& jobs, uint64_t first_tag,
-                 size_t count, Bitmap* global_coverage,
-                 std::vector<RingCompletion>* out);
   // The wire bytes of one execution: a mask request over the resident image
   // when the guest holds it, else the program itself when every call runs,
-  // else a mask request carrying the program. `use_resident` false forces
-  // the program along (the guest may lose its image before the request is
-  // read). When the selected program fits `limit`, so do the bytes: a
-  // request that would overflow it ships the selected program alone. The
-  // bytes live in `image` or in `scratch`; `replay` reports whether the
-  // request relies on the resident image.
+  // else a mask request carrying the program. When the selected program
+  // fits the shm region, so do the bytes: a request that would overflow it
+  // ships the selected program alone. The bytes live in `image` or in
+  // `scratch`; `replay` reports whether the request relies on the resident
+  // image.
   const std::vector<uint8_t>& Request(const ProgImage& image,
-                                      const CallMask* keep, bool use_resident,
-                                      size_t limit,
+                                      const CallMask* keep,
                                       std::vector<uint8_t>* scratch,
                                       bool* replay);
   void CountRequest(bool replay);
@@ -273,7 +216,6 @@ class GuestVm {
   // Lazy transport construction (first execution; idempotent).
   Executor& EnsureExecutor() const;
   ShmChannel& EnsureShm() const;
-  ExecRing& EnsureRing() const;
   // Any state but ready/executing means the guest went down (or has not
   // come up yet), taking its resident image with it.
   void set_state(VmState s) {
@@ -285,12 +227,10 @@ class GuestVm {
 
   const Target* target_;
   KernelConfig config_;
-  RingConfig ring_config_;
   // Allocated on first use; mutable so const probes (executor()) can
-  // materialize them. A cold VM carries none of the three.
+  // materialize them. A cold VM carries neither.
   mutable std::unique_ptr<Executor> executor_;
   mutable std::unique_ptr<ShmChannel> shm_;
-  mutable std::unique_ptr<ExecRing> ring_;
   ControlSocket ctrl_;
   SimClock* clock_;
   VmLatencyModel latency_;
@@ -316,12 +256,6 @@ class GuestVm {
   Counter* m_reboots_ = nullptr;                             // healer_vm_reboots_total
   Histogram* m_rtt_ = nullptr;                               // healer_vm_rtt_ns
   std::array<Counter*, kNumFaultKinds> m_fault_injected_{};  // healer_fault_injected_<kind>_total
-  Counter* m_ring_drains_ = nullptr;       // healer_ring_drains_total
-  Counter* m_ring_submitted_ = nullptr;    // healer_ring_submitted_total
-  Counter* m_ring_completions_ = nullptr;  // healer_ring_completions_total
-  Counter* m_ring_spills_ = nullptr;       // healer_ring_spills_total
-  Counter* m_ring_stalls_ = nullptr;       // healer_ring_stalls_total
-  Histogram* m_ring_drain_programs_ = nullptr;  // healer_ring_drain_programs
   Counter* m_images_shipped_ = nullptr;  // healer_exec_images_shipped_total
   Counter* m_mask_replays_ = nullptr;    // healer_exec_mask_replays_total
 };

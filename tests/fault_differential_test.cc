@@ -123,118 +123,6 @@ TEST(FaultParallelTest, ParallelCorpusReExecutesAndAccountsFaults) {
             result.faults.failed_execs);
 }
 
-// ---- ring-transport differentials ----
-
-// Everything about a campaign fingerprint that does not depend on the
-// simulated clock. Faulted campaigns pay slightly different clock charges on
-// the two transports (a ring drain fronts its overhead before the per-
-// program fault lands), so the clock-free fingerprint is the strongest
-// property that holds under fault pressure.
-void ExpectSameClockFreeFingerprint(const CampaignResult& legacy,
-                                    const CampaignResult& ring) {
-  EXPECT_EQ(legacy.final_coverage, ring.final_coverage);
-  EXPECT_EQ(legacy.fuzz_execs, ring.fuzz_execs);
-  EXPECT_EQ(legacy.total_execs, ring.total_execs);
-  EXPECT_EQ(legacy.corpus_size, ring.corpus_size);
-  EXPECT_DOUBLE_EQ(legacy.corpus_mean_len, ring.corpus_mean_len);
-  EXPECT_EQ(legacy.corpus_length_hist, ring.corpus_length_hist);
-  EXPECT_EQ(legacy.relations_total, ring.relations_total);
-  EXPECT_EQ(legacy.relations_static, ring.relations_static);
-  EXPECT_EQ(legacy.relations_dynamic, ring.relations_dynamic);
-  EXPECT_DOUBLE_EQ(legacy.final_alpha, ring.final_alpha);
-  EXPECT_EQ(legacy.faults, ring.faults);
-  ASSERT_EQ(legacy.crashes.size(), ring.crashes.size());
-  for (size_t i = 0; i < legacy.crashes.size(); ++i) {
-    EXPECT_EQ(legacy.crashes[i].bug, ring.crashes[i].bug) << "crash " << i;
-    EXPECT_EQ(legacy.crashes[i].title, ring.crashes[i].title) << "crash " << i;
-    EXPECT_EQ(legacy.crashes[i].first_exec, ring.crashes[i].first_exec)
-        << "crash " << i;
-    EXPECT_EQ(legacy.crashes[i].shortest_repro, ring.crashes[i].shortest_repro)
-        << "crash " << i;
-    EXPECT_EQ(legacy.crashes[i].hits, ring.crashes[i].hits) << "crash " << i;
-  }
-}
-
-// The tentpole differential: a fixed-seed fault-free campaign over the ring
-// transport is bit-identical to its legacy twin — same fingerprint AND the
-// same clock-dependent data (coverage samples, crash first-seen times),
-// because a ring batch of one charges exactly the legacy latencies.
-TEST(FaultDifferentialTest, RingTransportCampaignMatchesLegacyBitIdentical) {
-  for (const uint64_t seed : {7ull, 20260808ull}) {
-    CampaignOptions legacy_options = SmallCampaign(seed);
-    legacy_options.hours = 6.0;
-    const CampaignResult legacy = RunCampaign(legacy_options);
-    CampaignOptions ring_options = SmallCampaign(seed);
-    ring_options.hours = 6.0;
-    ring_options.transport = ExecTransport::kRing;
-    const CampaignResult ring = RunCampaign(ring_options);
-
-    ExpectSameClockFreeFingerprint(legacy, ring);
-    ASSERT_EQ(legacy.samples.size(), ring.samples.size()) << "seed " << seed;
-    for (size_t i = 0; i < legacy.samples.size(); ++i) {
-      EXPECT_DOUBLE_EQ(legacy.samples[i].hours, ring.samples[i].hours);
-      EXPECT_EQ(legacy.samples[i].branches, ring.samples[i].branches);
-      EXPECT_EQ(legacy.samples[i].execs, ring.samples[i].execs);
-      EXPECT_EQ(legacy.samples[i].relations, ring.samples[i].relations);
-    }
-    for (size_t i = 0; i < legacy.crashes.size(); ++i) {
-      EXPECT_EQ(legacy.crashes[i].first_seen, ring.crashes[i].first_seen);
-    }
-  }
-}
-
-// Under fault pressure the two transports still draw the same fault stream
-// and produce the same per-program results, so the clock-free fingerprint —
-// including the full fault/recovery accounting — stays identical.
-TEST(FaultDifferentialTest, RingTransportFaultedCampaignMatchesLegacy) {
-  CampaignOptions legacy_options = SmallCampaign(13);
-  legacy_options.hours = 12.0;
-  legacy_options.fault_plan = FaultPlan::Uniform(0.03);
-  const CampaignResult legacy = RunCampaign(legacy_options);
-  CampaignOptions ring_options = legacy_options;
-  ring_options.transport = ExecTransport::kRing;
-  const CampaignResult ring = RunCampaign(ring_options);
-
-  // The plan actually fired, and both runs completed the exec budget (the
-  // hours budget is generous enough that max_execs binds for both).
-  EXPECT_GT(legacy.faults.TotalInjected(), 0u);
-  ASSERT_EQ(legacy.fuzz_execs, ring.fuzz_execs);
-  ExpectSameClockFreeFingerprint(legacy, ring);
-}
-
-// Pipelined workers (ring ExecBatch with hundreds of programs in flight)
-// keep the archive invariant and the fault accounting that the one-at-a-time
-// path guarantees. (Suite name matches the FaultParallel* TSan filter.)
-TEST(FaultParallelTest, PipelinedRingCorpusReExecutesAndAccounts) {
-  ParallelOptions options;
-  options.tool = ToolKind::kHealer;
-  options.seed = 21;
-  options.num_workers = 2;
-  options.total_execs = 800;
-  options.pipeline_depth = 256;
-  options.fault_plan = FaultPlan::Uniform(0.03);
-  const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
-
-  EXPECT_GE(result.fuzz_execs, options.total_execs);
-  EXPECT_GT(result.coverage, 0u);
-  ASSERT_GT(result.corpus_size, 0u);
-  ASSERT_EQ(result.corpus_progs.size(), result.corpus_size);
-  for (size_t i = 0; i < result.corpus_progs.size(); ++i) {
-    EXPECT_TRUE(ReExecutesWithCoverage(result.corpus_progs[i]))
-        << "corpus entry " << i;
-  }
-
-  ASSERT_EQ(result.vm_health.size(), options.num_workers);
-  uint64_t vm_faults = 0;
-  for (const VmHealth& health : result.vm_health) {
-    vm_faults += health.infra_faults;
-  }
-  EXPECT_EQ(vm_faults, result.faults.failed_execs);
-  EXPECT_GT(result.faults.TotalInjected(), 0u);
-  EXPECT_LE(result.faults.discarded + result.faults.recovered,
-            result.faults.failed_execs);
-}
-
 // Fault-free parallel and single-threaded runs agree on the invariant too:
 // nothing about the recovery plumbing disturbs the plain path.
 TEST(FaultParallelTest, FaultFreeParallelCorpusReExecutes) {

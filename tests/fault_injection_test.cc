@@ -172,6 +172,62 @@ TEST(GuestVmFaultTest, FaultFreePlanMatchesLegacyTiming) {
   EXPECT_EQ(clock.now(), model.boot + model.exec_overhead + 2 * model.per_call);
 }
 
+// Faults of the shm channel and control socket. Each is a typed failure
+// that merges nothing. Setup and torn faults waste one round trip and leave
+// the guest up, holding its image; a stall loses the reply, so the watchdog
+// budget burns and the guest goes down, taking its image with it.
+void ExpectChannelFault(FaultKind kind, ExecFailure failure, bool stall) {
+  SimClock clock;
+  auto vm = MakeVm(&clock, SingleFault(kind, 0.5));
+  const Prog prog = Chain({"memfd_create", "write$memfd"});
+  const ProgImage image(prog);
+  const VmLatencyModel model;
+  size_t faults_while_holding = 0;
+  size_t successes = 0;
+  for (int i = 0; i < 40; ++i) {
+    const bool ready = vm->state() == VmState::kReady;
+    const bool held = vm->HoldsImage(image);
+    const SimClock::Nanos before = clock.now();
+    Bitmap coverage(CallCoverage::kMapBits);
+    const ExecResult result = vm->Exec(image, nullptr, &coverage);
+    if (!result.Failed()) {
+      EXPECT_GT(coverage.Count(), 0u);
+      ++successes;
+      continue;
+    }
+    EXPECT_EQ(result.failure, failure) << "exec " << i;
+    EXPECT_TRUE(result.calls.empty()) << "exec " << i;
+    EXPECT_EQ(coverage.Count(), 0u) << "exec " << i;
+    EXPECT_EQ(vm->down(), stall) << "exec " << i;
+    if (!ready) {
+      continue;  // The charge also covers a boot or a reboot.
+    }
+    EXPECT_EQ(clock.now() - before,
+              stall ? model.exec_timeout : model.exec_overhead)
+        << "exec " << i;
+    if (held) {
+      ++faults_while_holding;
+      EXPECT_EQ(vm->HoldsImage(image), !stall) << "exec " << i;
+      EXPECT_EQ(vm->executor().has_image(), !stall) << "exec " << i;
+    }
+  }
+  EXPECT_GT(successes, 0u);
+  EXPECT_GT(faults_while_holding, 0u);
+  EXPECT_EQ(vm->infra_faults(), 40u - successes);
+}
+
+TEST(GuestVmFaultTest, ChannelSetupFailureWastesOneRoundTrip) {
+  ExpectChannelFault(FaultKind::kRingSetup, ExecFailure::kRingSetup, false);
+}
+
+TEST(GuestVmFaultTest, TornRequestWastesOneRoundTrip) {
+  ExpectChannelFault(FaultKind::kRingTorn, ExecFailure::kRingTorn, false);
+}
+
+TEST(GuestVmFaultTest, LostReplyFiresWatchdogAndTakesGuestDown) {
+  ExpectChannelFault(FaultKind::kRingStall, ExecFailure::kRingStall, true);
+}
+
 // ---- Monitor health accounting ----
 
 TEST(MonitorHealthTest, ReportsPerVmFaultCounters) {

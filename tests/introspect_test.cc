@@ -367,6 +367,62 @@ TEST(ParallelJournalTest, ExecRecordsReconcileWithFuzzExecs) {
   EXPECT_GT(by_kind[JournalKind::kCorpusAdd], 0u);
 }
 
+// A workers campaign stamps crashes and learned edges with the shared
+// campaign clock, as the single fuzzer does: no crash and no learned edge
+// sits at time 0.
+TEST(ParallelJournalTest, CrashesAndLearnedEdgesCarryCampaignTime) {
+  if (!kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  ParallelOptions options;
+  options.seed = 5;
+  options.num_workers = 2;
+  options.total_execs = 1500;
+  options.journal_capacity = 1 << 16;  // Keep every record.
+  const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
+  ASSERT_FALSE(result.crash_records.empty());
+  ASSERT_GT(result.relations_dynamic, 0u);
+  for (const CrashRecord& crash : result.crash_records) {
+    EXPECT_GT(crash.first_seen, 0) << crash.title;
+  }
+  size_t learned = 0;
+  for (const JournalRecord& record : result.journal) {
+    if (record.kind == JournalKind::kRelationLearned) {
+      ++learned;
+      EXPECT_GT(record.at, 0) << record.detail;
+    }
+  }
+  EXPECT_GT(learned, 0u);
+}
+
+// One worker under a fault plan recovers as Fuzzer::ExecWithRecovery does:
+// a fault record per failed attempt, a recovery record per recovered
+// execution, and the doubling backoff spent on the campaign clock.
+TEST(ParallelJournalTest, FaultsAndRecoveriesReconcileWithFaultStats) {
+  if (!kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  ParallelOptions options;
+  options.seed = 9;
+  options.num_workers = 1;
+  options.total_execs = 300;
+  options.fault_plan = FaultPlan::Uniform(0.03);
+  options.recovery.backoff = SimClock::kHour;
+  options.journal_capacity = 1 << 16;  // Keep every record.
+  const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
+  ASSERT_GT(result.faults.retries, 0u);
+  ASSERT_GT(result.faults.recovered, 0u);
+  std::map<JournalKind, size_t> by_kind;
+  for (const JournalRecord& record : result.journal) {
+    ++by_kind[record.kind];
+  }
+  EXPECT_EQ(by_kind[JournalKind::kFault], result.faults.failed_execs);
+  EXPECT_EQ(by_kind[JournalKind::kRecovery], result.faults.recovered);
+  // Each retry waited at least the one-hour first backoff.
+  EXPECT_GE(result.telemetry.gauge("healer_sim_hours"),
+            static_cast<double>(result.faults.retries));
+}
+
 TEST(ParallelJournalTest, DisabledByDefault) {
   ParallelOptions options;
   options.seed = 5;
@@ -438,7 +494,7 @@ TEST(PostmortemTest, OneBundlePerUniqueCrashByteIdentical) {
     // Every bundle is self-contained, including the minimized repro.
     for (const char* name :
          {"crash.json", "program.txt", "journal.jsonl", "journal.bin",
-          "metrics.prom", "rings.json", "relations.json", "repro.txt"}) {
+          "metrics.prom", "relations.json", "repro.txt"}) {
       EXPECT_TRUE(fs::exists(entry.path() / name))
           << entry.path() << " lacks " << name;
     }

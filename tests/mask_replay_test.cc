@@ -5,8 +5,9 @@
 // replaced:
 //   * SelectCalls is byte-identical to iterated RemoveCall/Truncate;
 //   * a masked replay returns the ExecResult of executing the selected
-//     program, in the executor and over both VM transports, with and
-//     without faults;
+//     program, in the executor and over the VM's shm channel, with and
+//     without faults, including a request whose image would overflow the
+//     channel;
 //   * Minimizer, DynamicLearner and CrashReproducer on masks match the
 //     clone+RemoveCall algorithms kept below as the reference;
 //   * a fixed-seed fault-plan campaign loop ends in the same state whether
@@ -25,6 +26,7 @@
 #include "src/base/metrics.h"
 #include "src/base/rng.h"
 #include "src/exec/executor.h"
+#include "src/exec/shm_channel.h"
 #include "src/fuzz/learner.h"
 #include "src/fuzz/minimizer.h"
 #include "src/fuzz/prog_builder.h"
@@ -329,9 +331,7 @@ TEST(MaskReplayTest, ExecutorMaskedRunMatchesMaterializedRun) {
 
 struct TransportCase {
   const char* name;
-  bool ring;
   double fault_rate;
-  uint32_t slot_bytes = RingConfig().sq_slot_bytes;
 };
 
 void PrintTo(const TransportCase& c, std::ostream* os) { *os << c.name; }
@@ -342,19 +342,8 @@ class MaskTransportTest : public ::testing::TestWithParam<TransportCase> {
     const FaultPlan plan = GetParam().fault_rate > 0
                                ? FaultPlan::Uniform(GetParam().fault_rate)
                                : FaultPlan();
-    RingConfig ring;
-    ring.sq_slot_bytes = GetParam().slot_bytes;
     return std::make_unique<GuestVm>(BuiltinTarget(), Config(), clock,
-                                     VmLatencyModel(), plan, 31, metrics,
-                                     ring);
-  }
-  ExecResult Run(GuestVm& vm, const ProgImage& image, const CallMask* keep,
-                 Bitmap* cov) {
-    return GetParam().ring ? vm.ExecRingOne(image, keep, cov)
-                           : vm.Exec(image, keep, cov);
-  }
-  ExecResult Run(GuestVm& vm, const Prog& prog, Bitmap* cov) {
-    return GetParam().ring ? vm.ExecRingOne(prog, cov) : vm.Exec(prog, cov);
+                                     VmLatencyModel(), plan, 31, metrics);
   }
 };
 
@@ -373,14 +362,14 @@ TEST_P(MaskTransportTest, MaskedReplayMatchesMaterializedExec) {
   Rng rng(3);
   for (size_t p = 0; p < progs.size(); ++p) {
     const ProgImage image(progs[p]);
-    ASSERT_TRUE(Run(*masked, image, nullptr, &masked_cov) ==
-                Run(*reference, progs[p], &reference_cov))
+    ASSERT_TRUE(masked->Exec(image, nullptr, &masked_cov) ==
+                reference->Exec(progs[p], &reference_cov))
         << "program " << p;
     for (int round = 0; round < 4; ++round) {
       const CallMask keep = RandomMask(progs[p], &rng);
-      const ExecResult a = Run(*masked, image, &keep, &masked_cov);
+      const ExecResult a = masked->Exec(image, &keep, &masked_cov);
       const ExecResult b =
-          Run(*reference, SelectCalls(progs[p], keep), &reference_cov);
+          reference->Exec(SelectCalls(progs[p], keep), &reference_cov);
       ASSERT_TRUE(a == b) << "program " << p << " round " << round
                           << ": masked failure " << ExecFailureName(a.failure)
                           << ", reference failure "
@@ -406,17 +395,63 @@ TEST_P(MaskTransportTest, MaskedReplayMatchesMaterializedExec) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transports, MaskTransportTest,
-    ::testing::Values(TransportCase{"Shm", false, 0},
-                      TransportCase{"Ring", true, 0},
-                      TransportCase{"ShmFaulted", false, 0.05},
-                      TransportCase{"RingFaulted", true, 0.05},
-                      // Slots smaller than many programs: spills, and masks
-                      // whose image would overflow a slot but whose
-                      // selection fits.
-                      TransportCase{"RingSmallSlotsFaulted", true, 0.05, 512}),
+    ::testing::Values(TransportCase{"Shm", 0},
+                      TransportCase{"ShmFaulted", 0.05}),
     [](const ::testing::TestParamInfo<TransportCase>& info) {
       return std::string(info.param.name);
     });
+
+// A program whose image fits the shm region, but not inside a mask request
+// that carries it. Masked on a guest that does not hold it, the VM ships
+// the selected program alone; the result, the clock and the coverage match
+// executing that selection whole.
+TEST(MaskReplayTest, ImageTooLargeToCarryShipsTheSelectionAlone) {
+  const Target& target = BuiltinTarget();
+  Rng rng(8);
+  Prog prog = BuildChain(target, AllIds(target),
+                         {"memfd_create", "write$memfd", "close"}, &rng);
+  ASSERT_EQ(prog.size(), 3u);
+  Arg* buffer = nullptr;
+  ForEachArg(prog.calls()[1], [&](Arg& arg) {
+    if (arg.kind == ArgKind::kData) {
+      buffer = &arg;
+    }
+  });
+  ASSERT_NE(buffer, nullptr);
+  // Grow the buffer until the program is a few bytes short of the region's
+  // limit (ShmChannel::WriteProg keeps 8 bytes of framing).
+  constexpr size_t kLimit = ShmChannel::kSize - 8;
+  const size_t small = SerializeProg(prog).size();
+  buffer->data.resize(buffer->data.size() + (kLimit - 4 - small), 0x5a);
+  const ProgImage image(prog);
+  ASSERT_LE(image.bytes().size(), kLimit);
+  ASSERT_GT(kMaskRequestHeader + prog.size() + image.bytes().size(), kLimit);
+
+  SimClock masked_clock;
+  SimClock reference_clock;
+  MetricRegistry metrics;
+  GuestVm masked(target, Config(), &masked_clock, VmLatencyModel(),
+                 FaultPlan(), 3, &metrics);
+  GuestVm reference(target, Config(), &reference_clock);
+  Bitmap masked_cov(CallCoverage::kMapBits);
+  Bitmap reference_cov(CallCoverage::kMapBits);
+  const std::vector<CallMask> masks = {{0, 1, 1}, {1, 1, 0}, {1, 0, 1}};
+  for (size_t m = 0; m < masks.size(); ++m) {
+    // The guest holds the last selection it ran, never `image` itself.
+    ASSERT_FALSE(masked.HoldsImage(image)) << "mask " << m;
+    const ExecResult got = masked.Exec(image, &masks[m], &masked_cov);
+    const ExecResult want =
+        reference.Exec(SelectCalls(prog, masks[m]), &reference_cov);
+    ASSERT_FALSE(got.Failed()) << "mask " << m;
+    ASSERT_EQ(got.calls.size(), 2u) << "mask " << m;
+    ASSERT_TRUE(got == want) << "mask " << m;
+    ASSERT_EQ(masked_clock.now(), reference_clock.now()) << "mask " << m;
+  }
+  EXPECT_EQ(masked_cov.Hash(), reference_cov.Hash());
+  const MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.counter("healer_exec_images_shipped_total"), masks.size());
+  EXPECT_EQ(snap.counter("healer_exec_mask_replays_total"), 0u);
+}
 
 // ---- Analysis on masks against the clone+RemoveCall reference ----
 

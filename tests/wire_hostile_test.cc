@@ -16,7 +16,6 @@
 #include "src/base/hash.h"
 #include "src/base/metrics.h"
 #include "src/base/rng.h"
-#include "src/exec/exec_ring.h"
 #include "src/exec/executor.h"
 #include "src/exec/shm_channel.h"
 #include "src/fuzz/corpus_io.h"
@@ -631,189 +630,6 @@ TEST(ControlSocketTest, BoundedQueueDropsAndCountsOverflow) {
   EXPECT_EQ(ctrl.overflows(), 10u);
 }
 
-// ---- completion codec hardening (ring CQ payloads) ----
-
-// Completion-wire writer (header: magic, failure, has_crash, num_calls).
-struct CqeWire {
-  Wire w;
-  CqeWire& Header(uint8_t failure, uint8_t has_crash, uint16_t num_calls) {
-    w.U32(kCompletionMagic).U8(failure).U8(has_crash);
-    w.U8(static_cast<uint8_t>(num_calls & 0xff));
-    w.U8(static_cast<uint8_t>(num_calls >> 8));
-    return *this;
-  }
-};
-
-void ExpectCompletionError(const std::vector<uint8_t>& bytes,
-                           const std::string& message_fragment) {
-  const Status status = DecodeCompletion(bytes.data(), bytes.size()).status();
-  ASSERT_FALSE(status.ok()) << "expected failure: " << message_fragment;
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-  EXPECT_NE(status.message().find(message_fragment), std::string::npos)
-      << "got: " << status.message();
-}
-
-std::vector<uint8_t> SampleCompletion() {
-  ExecResult result;
-  CallExecInfo call;
-  call.executed = true;
-  call.retval = 3;
-  call.signal = 0xfeedface;
-  call.new_edges = 2;
-  call.num_edges = 5;
-  call.slot_values = {1, 2, 3};
-  result.calls.push_back(call);
-  CrashInfo crash;
-  crash.bug = static_cast<BugId>(9);
-  crash.title = "BUG: sim crash";
-  crash.call_index = 0;
-  result.crash = crash;
-  return EncodeCompletion(result);
-}
-
-TEST(RingHostileTest, CompletionBadMagicRejected) {
-  Wire w;
-  w.U32(kCompletionMagic ^ 1).U8(0).U8(0).U8(0).U8(0);
-  ExpectCompletionError(w.buf, "bad magic");
-}
-
-TEST(RingHostileTest, CompletionTruncatedHeaderRejected) {
-  Wire w;
-  w.U32(kCompletionMagic).U8(0);
-  ExpectCompletionError(w.buf, "truncated header");
-}
-
-TEST(RingHostileTest, CompletionUnknownFailureKindRejected) {
-  CqeWire c;
-  c.Header(200, 0, 0);
-  ExpectCompletionError(c.w.buf, "unknown failure kind");
-}
-
-TEST(RingHostileTest, CompletionBadCrashFlagRejected) {
-  CqeWire c;
-  c.Header(0, 2, 0);
-  ExpectCompletionError(c.w.buf, "bad crash flag");
-}
-
-TEST(RingHostileTest, CompletionHugeCallCountRejected) {
-  CqeWire c;
-  c.Header(0, 0, 2000);  // > kMaxCompletionCalls.
-  ExpectCompletionError(c.w.buf, "bad call count");
-}
-
-TEST(RingHostileTest, CompletionOversizedCrashTitleRejected) {
-  CqeWire c;
-  c.Header(0, 1, 0);
-  c.w.U32(9).U32(0).U8(0x2c).U8(0x01);  // title_len = 300 > kMaxCrashTitle.
-  ExpectCompletionError(c.w.buf, "oversized crash title");
-}
-
-TEST(RingHostileTest, CompletionTruncatedCrashTitleRejected) {
-  CqeWire c;
-  c.Header(0, 1, 0);
-  c.w.U32(9).U32(0).U8(16).U8(0).U8('x');  // Claims 16 bytes, carries 1.
-  ExpectCompletionError(c.w.buf, "truncated crash title");
-}
-
-TEST(RingHostileTest, CompletionTruncatedCallRecordRejected) {
-  CqeWire c;
-  c.Header(0, 0, 1);
-  c.w.U8(1).U64(0);  // Call record cut short.
-  ExpectCompletionError(c.w.buf, "truncated call record");
-}
-
-TEST(RingHostileTest, CompletionBadExecutedFlagRejected) {
-  CqeWire c;
-  c.Header(0, 0, 1);
-  c.w.U8(7).U64(0).U64(0).U32(0).U32(0).U8(0).U8(0);
-  ExpectCompletionError(c.w.buf, "bad executed flag");
-}
-
-TEST(RingHostileTest, CompletionHugeSlotCountRejected) {
-  CqeWire c;
-  c.Header(0, 0, 1);
-  c.w.U8(1).U64(0).U64(0).U32(0).U32(0).U8(100).U8(0);  // > kMaxSlots.
-  ExpectCompletionError(c.w.buf, "bad slot count");
-}
-
-TEST(RingHostileTest, CompletionTruncatedSlotValuesRejected) {
-  CqeWire c;
-  c.Header(0, 0, 1);
-  c.w.U8(1).U64(0).U64(0).U32(0).U32(0).U8(2).U8(0).U64(1);  // 2 slots, 1.
-  ExpectCompletionError(c.w.buf, "truncated slot values");
-}
-
-TEST(RingHostileTest, CompletionTrailingBytesRejected) {
-  std::vector<uint8_t> bytes = SampleCompletion();
-  bytes.push_back(0xff);
-  ExpectCompletionError(bytes, "trailing bytes");
-}
-
-TEST(RingHostileTest, CompletionEveryStrictPrefixFailsCleanly) {
-  const std::vector<uint8_t> bytes = SampleCompletion();
-  ASSERT_GT(bytes.size(), 8u);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
-    const Status status =
-        DecodeCompletion(prefix.data(), prefix.size()).status();
-    EXPECT_FALSE(status.ok()) << "prefix of " << len << " bytes decoded";
-    EXPECT_EQ(status.code(), StatusCode::kParseError);
-  }
-}
-
-TEST(RingHostileTest, CompletionRandomBitFlipsNeverCrashTheDecoder) {
-  const std::vector<uint8_t> bytes = SampleCompletion();
-  Rng rng(4242);
-  size_t survived = 0;
-  for (int i = 0; i < 300; ++i) {
-    std::vector<uint8_t> mutated = bytes;
-    const size_t bit = rng.Below(mutated.size() * 8);
-    mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    const Result<ExecResult> decoded =
-        DecodeCompletion(mutated.data(), mutated.size());
-    if (decoded.ok()) {
-      ++survived;  // Payload-byte flips may survive; they must not crash.
-    }
-  }
-  EXPECT_LT(survived, 300u);  // Structural flips must be caught.
-}
-
-TEST(RingHostileTest, StaleSequenceNumbersNeverWedgeTheRing) {
-  // A hostile guest rewriting sequence words can destroy entries but must
-  // never wedge the consumer: every poke is skipped-and-freed.
-  SlotRing ring(8, 64);
-  Rng rng(7);
-  uint64_t pushed = 0;
-  size_t delivered = 0;
-  size_t dropped = 0;
-  std::vector<uint8_t> out;
-  uint64_t user_data = 0;
-  for (int round = 0; round < 200; ++round) {
-    while (!ring.Full()) {
-      const uint8_t b = static_cast<uint8_t>(pushed & 0xff);
-      ASSERT_TRUE(ring.Push(&b, 1, pushed));
-      ++pushed;
-    }
-    if (rng.Chance(1, 3)) {
-      ring.TestPokeSeq(rng.Next(), rng.Next());  // Corrupt a random slot.
-    }
-    for (int i = 0; i < 8; ++i) {
-      const SlotRing::Pop popped = ring.TryPop(&out, &user_data);
-      if (popped == SlotRing::Pop::kOk) {
-        ++delivered;
-      } else if (popped == SlotRing::Pop::kEmpty) {
-        break;
-      } else {
-        ++dropped;  // kTorn/kStale: entry lost, ring still live.
-      }
-    }
-  }
-  // Conservation: every pushed entry was either delivered or dropped, and
-  // the ring kept making progress throughout.
-  EXPECT_EQ(delivered + dropped + ring.size(), pushed);
-  EXPECT_GT(delivered, 0u);
-}
-
 // ---- HGSP1 gossip frames (gossip.h) ----
 //
 // The cross-shard gossip codec faces the same adversary as the corpus
@@ -1172,7 +988,7 @@ TEST_F(MaskHostileTest, RandomBitFlipsNeverCrashTheExecutor) {
 // damaged request reaches the executor, the result is a typed failure, both
 // sides forget the image, and the next execution ships it again — with the
 // same injector draws as a VM executing every program whole.
-void ExpectCorruptionDropsImage(bool ring) {
+TEST(MaskFaultHostileTest, CorruptedTransfersDropTheImageOverShm) {
   FaultPlan plan;
   plan.set_rate(FaultKind::kTruncatedResult, 0.15);
   plan.set_rate(FaultKind::kBitFlipResult, 0.15);
@@ -1184,11 +1000,6 @@ void ExpectCorruptionDropsImage(bool ring) {
              &metrics);
   GuestVm reference(BuiltinTarget(), config, &reference_clock,
                     VmLatencyModel(), plan, 5);
-  auto run = [ring](GuestVm& guest, const ProgImage& image,
-                    const CallMask* keep) {
-    return ring ? guest.ExecRingOne(image, keep, nullptr)
-                : guest.Exec(image, keep, nullptr);
-  };
   std::vector<int> ids;
   for (const auto& call : BuiltinTarget().syscalls()) {
     ids.push_back(call->id);
@@ -1208,11 +1019,11 @@ void ExpectCorruptionDropsImage(bool ring) {
     for (size_t m = 0; m <= masks.size(); ++m) {
       const CallMask* keep = m == 0 ? nullptr : &masks[m - 1];
       const MetricsSnapshot before = metrics.Snapshot();
-      const ExecResult got = run(vm, image, keep);
+      const ExecResult got = vm.Exec(image, keep, nullptr);
       const MetricsSnapshot after = metrics.Snapshot();
       const Prog selected =
           keep == nullptr ? prog.Clone() : SelectCalls(prog, *keep);
-      ASSERT_TRUE(got == run(reference, ProgImage(selected), nullptr))
+      ASSERT_TRUE(got == reference.Exec(selected, nullptr))
           << "program " << p << " mask " << m;
       const uint64_t shipped =
           after.counter("healer_exec_images_shipped_total") -
@@ -1236,14 +1047,6 @@ void ExpectCorruptionDropsImage(bool ring) {
   EXPECT_EQ(vm.injector().injected(), reference.injector().injected());
   EXPECT_GT(corrupted, 10u);
   EXPECT_GT(reshipped, 5u);
-}
-
-TEST(MaskFaultHostileTest, CorruptedTransfersDropTheImageOverShm) {
-  ExpectCorruptionDropsImage(false);
-}
-
-TEST(MaskFaultHostileTest, CorruptedTransfersDropTheImageOverRing) {
-  ExpectCorruptionDropsImage(true);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // src/fuzz/postmortem.h for the layout) and prints a human-readable
 // summary: the crash identity, the triggering program (and minimized
 // reproducer when present), the tail of the flight-recorder window decoded
-// from the compact binary frame, the relation/ring state at trigger time,
+// from the compact binary frame, the relation state at trigger time,
 // and a headline subset of the metrics snapshot. --all-metrics dumps every
 // sample line instead of the headline subset.
 
@@ -49,7 +49,7 @@ const char* kHeadlineMetrics[] = {
     "healer_fuzz_execs_total",  "healer_coverage_branches",
     "healer_corpus_programs",   "healer_relations_total",
     "healer_crashes_unique",    "healer_exec_failed_total",
-    "healer_vm_quarantines_total", "healer_ring_stalls_total",
+    "healer_vm_quarantines_total",
 };
 
 void PrintMetrics(const std::string& prom, bool all) {
@@ -146,10 +146,6 @@ int main(int argc, char** argv) {
 
   if (ReadFile(dir + "/relations.json", &text)) {
     std::printf("relations:\n");
-    PrintIndented(text);
-  }
-  if (ReadFile(dir + "/rings.json", &text)) {
-    std::printf("rings:\n");
     PrintIndented(text);
   }
   if (ReadFile(dir + "/metrics.prom", &text)) {
