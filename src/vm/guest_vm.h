@@ -33,8 +33,8 @@
 // policy and the Monitor's per-VM health report.
 //
 // The executor and the shm channel (~5 MiB together) allocate lazily on
-// first execution: a fleet of thousands of cold or boot-looping
-// guests costs kilobytes each, which is what makes 2048-VM storm scenarios
+// first execution: a fleet of thousands of cold or boot-looping guests
+// costs kilobytes each, which is what makes 2048-VM storm scenarios
 // runnable (the boot handshake itself only touches the control socket).
 //
 // Every execution is a (program image, keep mask) pair. The guest's
@@ -155,8 +155,8 @@ class GuestVm {
   void QuarantineReboot();
 
   // Attaches a flight-recorder writer; the VM records lifecycle transitions
-  // (boot, reboot, quarantine) into it. The writer is owned
-  // by the VM's driving worker (which also flushes it), so recording stays
+  // (boot, reboot, quarantine) into it. The writer is owned by the VM's
+  // driving worker (which also flushes it), so recording stays
   // single-producer even in the parallel fuzzer.
   void set_journal(JournalWriter* journal) { journal_ = journal; }
 
