@@ -8,7 +8,8 @@
 # fleet stage (reactor-fleet scaling: OS-thread ceiling + wall-clock budget
 # + storm determinism tests), a
 # relation stage (snapshot-Select speedup guard + draw-determinism tests),
-# an exec stage (call-mask replay and wire-hostile equivalence suites), an
+# an exec stage (call-mask replay, image-interpreter differential and
+# wire-hostile parity suites), an
 # introspect stage (live HTTP endpoints, journal export, postmortem-bundle
 # determinism), a hotpath stage (arena allocation-reduction guard +
 # two-level bitmap merge floor + arena/heap timing guards + equivalence
@@ -25,7 +26,7 @@
 #   scripts/check.sh parallel     # just the parallel scaling-bench guard
 #   scripts/check.sh fleet        # just the reactor-fleet scaling guards
 #   scripts/check.sh relation     # just the relation-engine guards
-#   scripts/check.sh exec         # just the mask-replay and hostile suites
+#   scripts/check.sh exec         # just the replay, differential and parity suites
 #   scripts/check.sh introspect   # just the introspection-plane smoke
 #   scripts/check.sh hotpath      # just the hot-path memory guards
 #   scripts/check.sh distributed  # just the sharded-campaign guards
@@ -230,14 +231,15 @@ run_relation() {
     } END { if (!found) { print "FAIL: select_speedup missing"; exit 1 } }' \
     "$tmp/BENCH_micro.json"
   # Determinism: the snapshot Select must stay draw-identical to the map
-  # reference, and fixed-seed campaigns must reproduce the golden
+  # reference, snapshots built from the edge log must equal a dense-scan
+  # build row by row, and fixed-seed campaigns must reproduce the golden
   # fingerprint bit-for-bit.
   ctest --test-dir build --output-on-failure \
-    -R 'DrawEquivalentWithMapReference|GoldenFingerprint'
+    -R 'DrawEquivalentWithMapReference|DenseScanReference|GoldenFingerprint'
 }
 
 run_exec() {
-  echo "==> exec: call-mask replays and hostile masks"
+  echo "==> exec: call-mask replays, image differential, wire parity"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$jobs" --target healer_tests
   # Call-mask replays of the resident image must be draw-identical to
@@ -245,9 +247,12 @@ run_exec() {
   # against materialized executions over the shm channel (with and without
   # faults, and when the image is too large to travel with its mask), the
   # analysis against its clone+RemoveCall reference, and the hostile-mask
-  # suite.
+  # suite. The flat-image interpreter must match the Arg-tree interpreter
+  # it replaced (ImageReplayDifferential), and the executor must accept and
+  # reject hostile wire bytes exactly as DeserializeProg does, with the
+  # same message (WireHostile, WireParity).
   ctest --test-dir build --output-on-failure \
-    -R 'SelectCalls|Mask(Replay|Transport|Analysis|Binding|Hostile|FaultHostile)'
+    -R 'SelectCalls|Mask(Replay|Transport|Analysis|Binding|Hostile|FaultHostile)|ImageReplayDifferential|WireHostile|WireParity'
 }
 
 run_introspect() {

@@ -33,7 +33,7 @@ Executor::Executor(const Target& target, const KernelConfig& config)
 }
 
 uint64_t Executor::ResolveResource(
-    const Arg& arg, const std::vector<CallExecInfo>& done) const {
+    const ImageArg& arg, const std::vector<CallExecInfo>& done) const {
   if (arg.res_ref < 0) {
     return arg.val;
   }
@@ -51,12 +51,15 @@ uint64_t Executor::ResolveResource(
   return producer.slot_values[static_cast<size_t>(arg.res_slot)];
 }
 
-uint64_t Executor::StoreArg(Kernel& kernel, const Arg& arg,
+uint64_t Executor::StoreArg(Kernel& kernel, uint32_t node,
                             const std::vector<CallExecInfo>& done,
                             uint64_t addr) {
   GuestMem& mem = kernel.mem();
+  const ImageArg& arg = resident_.arg(node);
   switch (arg.kind) {
     case ArgKind::kConstant: {
+      // The scalar's declared width, not its ByteSize(): the two differ
+      // for a constant whose type is not a scalar.
       const uint32_t size = arg.type != nullptr ? arg.type->size : 8;
       mem.Write(addr, &arg.val, std::min<uint32_t>(size, 8));
       return size;
@@ -71,32 +74,32 @@ uint64_t Executor::StoreArg(Kernel& kernel, const Arg& arg,
       return 8;
     }
     case ArgKind::kData:
-      if (!arg.data.empty()) {
-        mem.Write(addr, arg.data.data(), arg.data.size());
+      if (arg.size > 0) {
+        mem.Write(addr, resident_.data(arg), arg.size);
       }
-      return arg.data.size();
+      return arg.size;
     case ArgKind::kPointer: {
-      const uint64_t ptr_value = EvalArg(kernel, arg, done);
+      const uint64_t ptr_value = EvalArg(kernel, node, done);
       mem.Write(addr, &ptr_value, 8);
       return 8;
     }
     case ArgKind::kGroup: {
       uint64_t offset = 0;
-      for (const auto& child : arg.inner) {
-        offset += StoreArg(kernel, *child, done, addr + offset);
+      for (uint32_t child = node + 1; child < arg.end;
+           child = resident_.arg(child).end) {
+        offset += StoreArg(kernel, child, done, addr + offset);
       }
       return offset;
     }
     case ArgKind::kUnion:
-      return arg.inner.empty()
-                 ? 0
-                 : StoreArg(kernel, *arg.inner[0], done, addr);
+      return arg.end == node + 1 ? 0 : StoreArg(kernel, node + 1, done, addr);
   }
   return 0;
 }
 
-uint64_t Executor::EvalArg(Kernel& kernel, const Arg& arg,
+uint64_t Executor::EvalArg(Kernel& kernel, uint32_t node,
                            const std::vector<CallExecInfo>& done) {
+  const ImageArg& arg = resident_.arg(node);
   switch (arg.kind) {
     case ArgKind::kConstant:
     case ArgKind::kVma:
@@ -104,25 +107,26 @@ uint64_t Executor::EvalArg(Kernel& kernel, const Arg& arg,
     case ArgKind::kResource:
       return ResolveResource(arg, done);
     case ArgKind::kPointer: {
-      if (arg.pointee == nullptr) {
-        return 0;
+      if (arg.end == node + 1) {
+        return 0;  // Null pointer.
       }
-      const uint64_t size = std::max<uint64_t>(arg.pointee->Size(), 1);
+      const uint64_t size =
+          std::max<uint64_t>(resident_.arg(node + 1).size, 1);
       const uint64_t addr = kernel.mem().AllocData(size);
       if (addr == 0) {
         return 0;  // Guest data window exhausted; acts like a bad pointer.
       }
-      StoreArg(kernel, *arg.pointee, done, addr);
+      StoreArg(kernel, node + 1, done, addr);
       return addr;
     }
     case ArgKind::kData:
     case ArgKind::kGroup:
     case ArgKind::kUnion: {
       // Aggregates at the top level decay to a pointer to their contents.
-      const uint64_t size = std::max<uint64_t>(arg.Size(), 1);
+      const uint64_t size = std::max<uint64_t>(arg.size, 1);
       const uint64_t addr = kernel.mem().AllocData(size);
       if (addr != 0) {
-        StoreArg(kernel, arg, done, addr);
+        StoreArg(kernel, node, done, addr);
       }
       return addr;
     }
@@ -130,43 +134,32 @@ uint64_t Executor::EvalArg(Kernel& kernel, const Arg& arg,
   return 0;
 }
 
-namespace {
-
-// Collects guest addresses of out-direction resource scalars in the same
-// pre-order as ResultSlotsOf. `base` is the pointee's base address.
-void CollectOutResourceAddrs(const Arg& arg, bool out_ctx, uint64_t base,
-                             std::vector<uint64_t>* addrs) {
+void Executor::CollectOutResourceAddrs(uint32_t node, bool out_ctx,
+                                       uint64_t base) {
+  // Pointees below the top level would need the pointer's evaluated value,
+  // which is not kept, so they are not extracted: nothing under base 0 is.
+  if (base == 0) {
+    return;
+  }
+  const ImageArg& arg = resident_.arg(node);
   switch (arg.kind) {
     case ArgKind::kResource:
-      if (out_ctx && base != 0) {
-        addrs->push_back(base);
+      if (out_ctx) {
+        out_addrs_.push_back(base);
       }
       break;
-    case ArgKind::kPointer: {
-      if (arg.pointee == nullptr) {
-        break;
-      }
-      const bool pointee_out =
-          arg.type != nullptr && (arg.type->dir == Dir::kOut ||
-                                  arg.type->dir == Dir::kInOut);
-      // The pointee's address is the pointer's evaluated value; we don't
-      // have it here, so pointer nesting below the top level is walked with
-      // base 0 (no extraction). Top-level handling happens in Run().
-      CollectOutResourceAddrs(*arg.pointee, pointee_out, 0, addrs);
-      break;
-    }
     case ArgKind::kGroup: {
       uint64_t offset = 0;
-      for (const auto& child : arg.inner) {
-        CollectOutResourceAddrs(*child, out_ctx,
-                                base == 0 ? 0 : base + offset, addrs);
-        offset += child->Size();
+      for (uint32_t child = node + 1; child < arg.end;
+           child = resident_.arg(child).end) {
+        CollectOutResourceAddrs(child, out_ctx, base + offset);
+        offset += resident_.arg(child).size;
       }
       break;
     }
     case ArgKind::kUnion:
-      if (!arg.inner.empty()) {
-        CollectOutResourceAddrs(*arg.inner[0], out_ctx, base, addrs);
+      if (arg.end != node + 1) {
+        CollectOutResourceAddrs(node + 1, out_ctx, base);
       }
       break;
     default:
@@ -174,18 +167,17 @@ void CollectOutResourceAddrs(const Arg& arg, bool out_ctx, uint64_t base,
   }
 }
 
-}  // namespace
-
 ExecResult Executor::Run(const Prog& prog, Bitmap* global_coverage) {
-  return Replay(prog, nullptr, global_coverage);
+  const std::vector<uint8_t> bytes = SerializeProg(prog);
+  return RunSerialized(bytes.data(), bytes.size(), global_coverage);
 }
 
-ExecResult Executor::Replay(const Prog& prog, const uint8_t* keep,
-                            Bitmap* global_coverage) {
+ExecResult Executor::Replay(const uint8_t* keep, Bitmap* global_coverage) {
   ++execs_;
-  pos_.resize(prog.size());
+  const std::vector<ImageCall>& calls = resident_.calls();
+  pos_.resize(calls.size());
   int kept = 0;
-  for (size_t ci = 0; ci < prog.size(); ++ci) {
+  for (size_t ci = 0; ci < calls.size(); ++ci) {
     pos_[ci] = keep == nullptr || keep[ci] != 0 ? kept++ : -1;
   }
   ExecResult result;
@@ -194,20 +186,22 @@ ExecResult Executor::Replay(const Prog& prog, const uint8_t* keep,
   mem_.Reset();
   Kernel kernel(config_, &mem_);
 
-  for (size_t ci = 0; ci < prog.size(); ++ci) {
+  for (size_t ci = 0; ci < calls.size(); ++ci) {
     if (pos_[ci] < 0) {
       continue;
     }
     const size_t at = static_cast<size_t>(pos_[ci]);
-    const Call& call = prog.calls()[ci];
+    const ImageCall& call = calls[ci];
     CallExecInfo& info = result.calls[at];
     const SyscallDef* def = handlers_[static_cast<size_t>(call.meta->id)];
 
     // Evaluate arguments (allocates and fills guest memory); the evaluated
     // words double as the top-level pointer values for out-extraction.
     uint64_t args[6] = {0, 0, 0, 0, 0, 0};
-    for (size_t ai = 0; ai < call.args.size() && ai < 6; ++ai) {
-      args[ai] = EvalArg(kernel, *call.args[ai], result.calls);
+    size_t ai = 0;
+    for (uint32_t node = call.first_arg; node < call.end && ai < 6;
+         node = resident_.arg(node).end, ++ai) {
+      args[ai] = EvalArg(kernel, node, result.calls);
     }
 
     cov_.Reset();
@@ -249,13 +243,14 @@ ExecResult Executor::Replay(const Prog& prog, const uint8_t* keep,
         // Walk top-level out pointers, reading resource values at their
         // stored offsets.
         out_addrs_.clear();
-        for (size_t ai = 0; ai < call.args.size(); ++ai) {
-          const Arg& arg = *call.args[ai];
-          if (arg.kind == ArgKind::kPointer && arg.pointee != nullptr &&
+        ai = 0;
+        for (uint32_t node = call.first_arg; node < call.end && ai < 6;
+             node = resident_.arg(node).end, ++ai) {
+          const ImageArg& arg = resident_.arg(node);
+          if (arg.kind == ArgKind::kPointer && arg.end != node + 1 &&
               arg.type != nullptr &&
               (arg.type->dir == Dir::kOut || arg.type->dir == Dir::kInOut)) {
-            CollectOutResourceAddrs(*arg.pointee, true,
-                                    ai < 6 ? args[ai] : 0, &out_addrs_);
+            CollectOutResourceAddrs(node + 1, true, args[ai]);
           }
         }
         for (size_t si = 0; si < out_addrs_.size() && 1 + si <= max_slot;
@@ -276,18 +271,13 @@ ExecResult Executor::Replay(const Prog& prog, const uint8_t* keep,
 }
 
 void Executor::DropImage() {
-  image_ = Prog();
+  resident_.Clear();
   has_image_ = false;
 }
 
 Status Executor::LoadImage(const uint8_t* data, size_t size) {
-  DropImage();
-  image_arena_.Reset();
-  Result<Prog> prog = DeserializeProg(target_, data, size, &image_arena_);
-  if (!prog.ok()) {
-    return prog.status();
-  }
-  image_ = std::move(*prog);
+  has_image_ = false;
+  HEALER_RETURN_IF_ERROR(resident_.Decode(target_, data, size));
   image_digest_ = ImageDigest(data, size);
   has_image_ = true;
   return OkStatus();
@@ -301,7 +291,7 @@ ExecResult Executor::RunSerialized(const uint8_t* data, size_t size,
       LOG_WARNING << "executor: bad program: " << loaded.ToString();
       return ExecResult{};
     }
-    return Replay(image_, nullptr, global_coverage);
+    return Replay(nullptr, global_coverage);
   }
   Result<MaskRequest> request = DecodeMaskRequest(data, size);
   Status status = request.status();
@@ -309,7 +299,7 @@ ExecResult Executor::RunSerialized(const uint8_t* data, size_t size,
     status = LoadImage(request->image, request->image_size);
   }
   if (status.ok() && (!has_image_ || image_digest_ != request->digest ||
-                      image_.size() != request->calls)) {
+                      resident_.calls().size() != request->calls)) {
     status = ParseError("mask names an image this guest does not hold");
   }
   if (!status.ok()) {
@@ -317,7 +307,7 @@ ExecResult Executor::RunSerialized(const uint8_t* data, size_t size,
     LOG_WARNING << "executor: bad mask request: " << status.ToString();
     return ExecResult{};
   }
-  return Replay(image_, request->keep, global_coverage);
+  return Replay(request->keep, global_coverage);
 }
 
 }  // namespace healer

@@ -7,11 +7,12 @@
 // case for isolation; a fresh kernel object is the simulator equivalent and
 // keeps programs independent and deterministic).
 //
-// The last program the executor decoded stays resident as its image, in an
-// executor-owned ProgArena that is reset only when the next image arrives.
-// A call-mask request replays the image without re-decoding it: dropped
-// calls are skipped, and a reference to a dropped producer resolves to its
-// special value, exactly as Prog::RemoveCall's fixup would (DESIGN.md §9).
+// The last program the executor decoded stays resident as a flat
+// DecodedImage, whose buffers are reused by the next image; no Arg tree is
+// built on this side. A call-mask request replays the image without
+// re-decoding it: dropped calls are skipped, and a reference to a dropped
+// producer resolves to its special value, exactly as Prog::RemoveCall's
+// fixup would (DESIGN.md §9).
 
 #ifndef SRC_EXEC_EXECUTOR_H_
 #define SRC_EXEC_EXECUTOR_H_
@@ -23,7 +24,6 @@
 #include "src/base/bitmap.h"
 #include "src/exec/exec_result.h"
 #include "src/kernel/kernel.h"
-#include "src/prog/arena.h"
 #include "src/prog/prog.h"
 #include "src/prog/serialize.h"
 #include "src/prog/slots.h"
@@ -39,6 +39,8 @@ class Executor {
   // Runs `prog` against a fresh kernel. If `global_coverage` is non-null,
   // per-call edges are merged into it and CallExecInfo::new_edges reports
   // the fresh ones; pass nullptr for side-effect-free runs (minimization).
+  // The program travels the wire path: it is encoded and run as
+  // RunSerialized would, and becomes the resident image.
   ExecResult Run(const Prog& prog, Bitmap* global_coverage);
 
   // Wire-format entry point used by the VM transport. `data` is either a
@@ -71,21 +73,24 @@ class Executor {
   uint64_t execs() const { return execs_; }
 
  private:
-  // Writes `arg` into guest memory at `addr`; returns bytes written.
-  uint64_t StoreArg(Kernel& kernel, const Arg& arg,
+  // Writes image node `node` into guest memory at `addr`; returns how far
+  // past `addr` the next sibling starts.
+  uint64_t StoreArg(Kernel& kernel, uint32_t node,
                     const std::vector<CallExecInfo>& done, uint64_t addr);
-  // Computes the flat syscall argument word for `arg` (allocating guest
-  // memory for pointees).
-  uint64_t EvalArg(Kernel& kernel, const Arg& arg,
+  // Computes the flat syscall argument word for image node `node`
+  // (allocating guest memory for pointees).
+  uint64_t EvalArg(Kernel& kernel, uint32_t node,
                    const std::vector<CallExecInfo>& done);
-  // Resolves a resource reference against completed calls.
-  uint64_t ResolveResource(const Arg& arg,
+  // Resolves a resource arg against completed calls.
+  uint64_t ResolveResource(const ImageArg& arg,
                            const std::vector<CallExecInfo>& done) const;
-  // Runs the calls `keep` marks (nullptr: all of them). Per-call results
-  // and the crash index are compacted to the kept calls, so the result
-  // equals Run(SelectCalls(prog, keep)).
-  ExecResult Replay(const Prog& prog, const uint8_t* keep,
-                    Bitmap* global_coverage);
+  // Appends the guest addresses of the out-direction resource scalars in
+  // `node`'s subtree, stored at `base`, in ResultSlotsOf order.
+  void CollectOutResourceAddrs(uint32_t node, bool out_ctx, uint64_t base);
+  // Runs the resident image's calls that `keep` marks (nullptr: all of
+  // them). Per-call results and the crash index are compacted to the kept
+  // calls, so the result equals running SelectCalls(image, keep).
+  ExecResult Replay(const uint8_t* keep, Bitmap* global_coverage);
   // Decodes `data` as the new resident image.
   Status LoadImage(const uint8_t* data, size_t size);
 
@@ -102,9 +107,8 @@ class Executor {
   // and the out-parameter addresses of the call being extracted.
   std::vector<int> pos_;
   std::vector<uint64_t> out_addrs_;
-  // The resident image. image_ is destroyed before image_arena_ is reset.
-  ProgArena image_arena_;
-  Prog image_;
+  // The resident image.
+  DecodedImage resident_;
   bool has_image_ = false;
   uint64_t image_digest_ = 0;
   uint64_t execs_ = 0;

@@ -39,24 +39,28 @@ RelationTable::RelationTable(size_t num_syscalls)
 void RelationTable::PublishLocked() {
   auto snap = std::make_shared<RelationSnapshot>();
   snap->n_ = n_;
-  snap->row_offset_.resize(n_ + 1);
-  snap->degree_.resize(n_);
-  snap->cols_.reserve(edges_.size());
-  // The dense matrix scan yields each row already sorted ascending, which
-  // keeps Contains() binary-searchable and the selector's candidate order
-  // identical to the old per-row scan.
-  for (size_t from = 0; from < n_; ++from) {
-    snap->row_offset_[from] = static_cast<uint32_t>(snap->cols_.size());
-    const size_t base = from * n_;
-    for (size_t to = 0; to < n_; ++to) {
-      if (cells_[base + to] != 0) {
-        snap->cols_.push_back(static_cast<int32_t>(to));
-      }
-    }
-    snap->degree_[from] =
-        static_cast<uint32_t>(snap->cols_.size()) - snap->row_offset_[from];
+  // Bucket the edge log by row in O(n + E): count each row, prefix-sum the
+  // counts into row offsets, scatter the columns (degree_ doubles as each
+  // row's fill cursor), then sort every row. cells_ keeps the log free of
+  // repeats, and ascending rows keep Contains() binary-searchable and the
+  // selector's candidate order identical to a dense row scan.
+  snap->row_offset_.assign(n_ + 1, 0);
+  for (const RelationEdge& edge : edges_) {
+    ++snap->row_offset_[static_cast<size_t>(edge.from) + 1];
   }
-  snap->row_offset_[n_] = static_cast<uint32_t>(snap->cols_.size());
+  for (size_t from = 0; from < n_; ++from) {
+    snap->row_offset_[from + 1] += snap->row_offset_[from];
+  }
+  snap->degree_.assign(n_, 0);
+  snap->cols_.resize(edges_.size());
+  for (const RelationEdge& edge : edges_) {
+    const size_t from = static_cast<size_t>(edge.from);
+    snap->cols_[snap->row_offset_[from] + snap->degree_[from]++] = edge.to;
+  }
+  for (size_t from = 0; from < n_; ++from) {
+    std::sort(snap->cols_.begin() + snap->row_offset_[from],
+              snap->cols_.begin() + snap->row_offset_[from + 1]);
+  }
   const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
   snap->epoch_ = epoch;
   {

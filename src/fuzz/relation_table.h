@@ -169,7 +169,8 @@ class RelationTable {
     return static_cast<size_t>(from) * n_ + static_cast<size_t>(to);
   }
 
-  // Rebuilds the CSR from cells_ and swaps it in. Requires write_mu_ held.
+  // Rebuilds the CSR from the edge log and swaps it in. Requires write_mu_
+  // held.
   void PublishLocked();
 
   size_t n_;

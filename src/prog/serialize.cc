@@ -1,5 +1,7 @@
 #include "src/prog/serialize.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/base/hash.h"
@@ -23,29 +25,50 @@ enum class Tag : uint8_t {
   kVma = 8,
 };
 
+// Wire words are little endian, and Writer and Reader move each one with a
+// single host-order copy, as the corpus and gossip codecs do.
+static_assert(std::endian::native == std::endian::little);
+
+// Writer over a pre-sized buffer: each field is one store of its whole
+// width, and the buffer grows only when the size estimate was short.
 class Writer {
  public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  explicit Writer(size_t estimate) : buf_(estimate) {}
+
+  void U8(uint8_t v) { *Claim(1) = v; }
+  void U32(uint32_t v) { Store(v); }
+  void U64(uint64_t v) { Store(v); }
+  void Raw(const uint8_t* data, size_t size) {
+    if (size > 0) {
+      std::memcpy(Claim(size), data, size);
     }
   }
   void Bytes(const std::vector<uint8_t>& data) {
     U32(static_cast<uint32_t>(data.size()));
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    Raw(data.data(), data.size());
   }
-  void Reserve(size_t bytes) { buf_.reserve(bytes); }
-  size_t size() const { return buf_.size(); }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+  size_t size() const { return pos_; }
+  std::vector<uint8_t> Take() {
+    buf_.resize(pos_);
+    return std::move(buf_);
+  }
 
  private:
+  uint8_t* Claim(size_t n) {
+    if (buf_.size() - pos_ < n) {
+      buf_.resize(std::max(buf_.size() * 2, pos_ + n));
+    }
+    uint8_t* at = buf_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+  template <typename T>
+  void Store(T v) {
+    std::memcpy(Claim(sizeof(T)), &v, sizeof(T));
+  }
+
   std::vector<uint8_t> buf_;
+  size_t pos_ = 0;
 };
 
 class Reader {
@@ -59,37 +82,16 @@ class Reader {
     *v = data_[pos_++];
     return true;
   }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > size_) {
+  bool U32(uint32_t* v) { return Load(v); }
+  bool U64(uint64_t* v) { return Load(v); }
+  // A u32 length and that many payload bytes, which stay in the buffer:
+  // `offset` receives where they start.
+  bool Span(uint32_t* offset, uint32_t* len) {
+    if (!U32(len) || pos_ + *len > size_ || *len > (1 << 20)) {
       return false;
     }
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > size_) {
-      return false;
-    }
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-  bool Bytes(std::vector<uint8_t>* out) {
-    uint32_t len;
-    if (!U32(&len) || pos_ + len > size_ || len > (1 << 20)) {
-      return false;
-    }
-    out->assign(data_ + pos_, data_ + pos_ + len);
-    pos_ += len;
+    *offset = static_cast<uint32_t>(pos_);
+    pos_ += *len;
     return true;
   }
   bool AtEnd() const { return pos_ == size_; }
@@ -98,6 +100,16 @@ class Reader {
   void Skip(size_t n) { pos_ += n; }
 
  private:
+  template <typename T>
+  bool Load(T* v) {
+    if (pos_ + sizeof(T) > size_) {
+      return false;
+    }
+    std::memcpy(v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
+  }
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
@@ -151,151 +163,16 @@ void EncodeArg(const Arg& arg, Writer& w) {
   }
 }
 
-// Hostile input can nest pointer/group tags arbitrarily deep; genuine
-// programs never come close to this bound.
-constexpr int kMaxDecodeDepth = 64;
-
-// Decodes one arg of type `type`, validating tags against the type kind.
-// `prog` holds the calls decoded so far (the current call is not yet
-// appended), so resource refs are semantically checked in this same pass —
-// accepted programs need no separate Validate() walk.
-Result<ArgPtr> DecodeArg(const Type* type, Reader& r, const Prog& prog,
-                         ProgArena* arena, int depth = 0) {
-  if (depth > kMaxDecodeDepth) {
-    return ParseError("arg nesting too deep");
-  }
-  uint8_t tag_byte;
-  if (!r.U8(&tag_byte)) {
-    return ParseError("truncated arg tag");
-  }
-  const Tag tag = static_cast<Tag>(tag_byte);
-  switch (tag) {
-    case Tag::kConstant: {
-      uint64_t val;
-      if (!r.U64(&val)) {
-        return ParseError("truncated constant");
-      }
-      return MakeConstant(type, val, arena);
-    }
-    case Tag::kData: {
-      std::vector<uint8_t> data;
-      if (!r.Bytes(&data)) {
-        return ParseError("truncated data arg");
-      }
-      return MakeData(type, std::move(data), arena);
-    }
-    case Tag::kNullPointer:
-      return MakeNullPointer(type, arena);
-    case Tag::kPointer: {
-      if (type == nullptr || type->kind != TypeKind::kPtr) {
-        return ParseError("pointer tag for non-pointer type");
-      }
-      HEALER_ASSIGN_OR_RETURN(ArgPtr pointee,
-                              DecodeArg(type->elem, r, prog, arena, depth + 1));
-      return MakePointer(type, std::move(pointee), arena);
-    }
-    case Tag::kGroup: {
-      uint32_t count;
-      if (!r.U32(&count) || count > 4096) {
-        return ParseError("bad group count");
-      }
-      std::vector<ArgPtr> inner;
-      inner.reserve(count);
-      if (type != nullptr && type->kind == TypeKind::kStruct) {
-        if (count != type->fields.size()) {
-          return ParseError("struct field count mismatch");
-        }
-        for (uint32_t i = 0; i < count; ++i) {
-          HEALER_ASSIGN_OR_RETURN(
-              ArgPtr child,
-              DecodeArg(type->fields[i].type, r, prog, arena, depth + 1));
-          inner.push_back(std::move(child));
-        }
-      } else if (type != nullptr && type->kind == TypeKind::kArray) {
-        for (uint32_t i = 0; i < count; ++i) {
-          HEALER_ASSIGN_OR_RETURN(
-              ArgPtr child,
-              DecodeArg(type->array_elem, r, prog, arena, depth + 1));
-          inner.push_back(std::move(child));
-        }
-      } else {
-        return ParseError("group tag for non-aggregate type");
-      }
-      return MakeGroup(type, std::move(inner), arena);
-    }
-    case Tag::kUnion: {
-      if (type == nullptr || type->kind != TypeKind::kUnion) {
-        return ParseError("union tag for non-union type");
-      }
-      uint32_t index;
-      if (!r.U32(&index) || index >= type->fields.size()) {
-        return ParseError("bad union index");
-      }
-      HEALER_ASSIGN_OR_RETURN(
-          ArgPtr child, DecodeArg(type->fields[index].type, r, prog, arena, depth + 1));
-      return MakeUnion(type, static_cast<int>(index), std::move(child), arena);
-    }
-    case Tag::kResourceRef: {
-      uint32_t ref;
-      uint32_t slot;
-      if (!r.U32(&ref) || !r.U32(&slot)) {
-        return ParseError("truncated resource ref");
-      }
-      // Refs are semantically checked here (mirroring Prog::Validate): a
-      // non-degraded ref must point at an earlier call whose syscall
-      // produces a compatible resource.
-      const int ref_idx = static_cast<int>(ref);
-      if (ref_idx >= 0) {
-        if (static_cast<size_t>(ref_idx) >= prog.size()) {
-          return ParseError("resource ref not before the call");
-        }
-        if (type == nullptr || type->resource == nullptr) {
-          return ParseError("resource arg without resource type");
-        }
-        const Syscall* producer = prog.calls()[ref_idx].meta;
-        bool compatible = false;
-        for (const ResourceDesc* produced : producer->produced_resources) {
-          if (produced->IsCompatibleWith(type->resource)) {
-            compatible = true;
-            break;
-          }
-        }
-        if (!compatible) {
-          return ParseError("resource ref producer type mismatch");
-        }
-      }
-      return MakeResourceRef(type, ref_idx, static_cast<int>(slot), arena);
-    }
-    case Tag::kResourceSpecial: {
-      uint64_t val;
-      if (!r.U64(&val)) {
-        return ParseError("truncated resource special");
-      }
-      return MakeResourceSpecial(type, val, arena);
-    }
-    case Tag::kVma: {
-      uint64_t addr;
-      uint64_t pages;
-      if (!r.U64(&addr) || !r.U64(&pages)) {
-        return ParseError("truncated vma arg");
-      }
-      return MakeVma(type, addr, pages, arena);
-    }
-  }
-  return ParseError(StrFormat("unknown arg tag %u", tag_byte));
-}
-
 constexpr size_t kProgHeader = 8;  // Magic and call count.
 
 // Encodes `prog`, recording where each call's encoding ends in `call_ends`
 // when it is non-null.
 std::vector<uint8_t> Encode(const Prog& prog,
                             std::vector<uint32_t>* call_ends) {
-  Writer w;
   // A typical encoded call is a few tens of bytes; one up-front estimate
   // replaces the doubling-growth reallocations that showed up in the
   // allocation audit (bench_hotpath counts ~4 fewer allocs per serialize).
-  w.Reserve(16 + prog.size() * 96);
+  Writer w(16 + prog.size() * 96);
   w.U32(kMagic);
   w.U32(static_cast<uint32_t>(prog.size()));
   for (const Call& call : prog.calls()) {
@@ -311,7 +188,302 @@ std::vector<uint8_t> Encode(const Prog& prog,
   return w.Take();
 }
 
+// Hostile input can nest pointer/group tags arbitrarily deep; genuine
+// programs never come close to this bound.
+constexpr int kMaxDecodeDepth = 64;
+
+// Builds the Arg tree of `node`'s subtree.
+ArgPtr BuildArg(const DecodedImage& image, uint32_t node, ProgArena* arena) {
+  const ImageArg& arg = image.arg(node);
+  switch (arg.kind) {
+    case ArgKind::kConstant:
+      return MakeConstant(arg.type, arg.val, arena);
+    case ArgKind::kData: {
+      const uint8_t* data = image.data(arg);
+      return MakeData(arg.type, std::vector<uint8_t>(data, data + arg.size),
+                      arena);
+    }
+    case ArgKind::kPointer:
+      if (arg.end == node + 1) {
+        return MakeNullPointer(arg.type, arena);
+      }
+      return MakePointer(arg.type, BuildArg(image, node + 1, arena), arena);
+    case ArgKind::kGroup: {
+      size_t count = 0;
+      for (uint32_t c = node + 1; c < arg.end; c = image.arg(c).end) {
+        ++count;
+      }
+      std::vector<ArgPtr> inner;
+      inner.reserve(count);
+      for (uint32_t c = node + 1; c < arg.end; c = image.arg(c).end) {
+        inner.push_back(BuildArg(image, c, arena));
+      }
+      return MakeGroup(arg.type, std::move(inner), arena);
+    }
+    case ArgKind::kUnion:
+      return MakeUnion(arg.type, arg.union_index,
+                       BuildArg(image, node + 1, arena), arena);
+    case ArgKind::kResource: {
+      ArgPtr out = MakeResourceRef(arg.type, arg.res_ref, arg.res_slot, arena);
+      out->val = arg.val;
+      return out;
+    }
+    case ArgKind::kVma:
+      return MakeVma(arg.type, arg.val, arg.vma_pages, arena);
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+// Validates a DecodedImage's bytes while appending its calls and nodes.
+// Each arg is checked against its type as it is read, and resource refs
+// against the calls decoded before the current one, so an accepted image
+// needs no separate Validate() walk. The first failure stops the decode.
+class ImageDecoder {
+ public:
+  ImageDecoder(const Target& target, DecodedImage& image)
+      : target_(target),
+        image_(image),
+        r_(image.bytes_.data(), image.bytes_.size()) {}
+
+  Status Decode() {
+    uint32_t magic;
+    uint32_t ncalls;
+    if (!r_.U32(&magic) || magic != kMagic) {
+      return ParseError("bad magic");
+    }
+    if (!r_.U32(&ncalls) || ncalls > 1024) {
+      return ParseError("bad call count");
+    }
+    image_.calls_.reserve(ncalls);
+    for (uint32_t i = 0; i < ncalls; ++i) {
+      uint32_t id;
+      uint32_t nargs;
+      if (!r_.U32(&id) || !r_.U32(&nargs)) {
+        return ParseError("truncated call header");
+      }
+      if (id >= target_.NumSyscalls()) {
+        return ParseError(StrFormat("unknown syscall id %u", id));
+      }
+      const Syscall& meta = target_.syscall(static_cast<int>(id));
+      if (nargs != meta.args.size()) {
+        return ParseError(StrFormat("call %s: arg count mismatch",
+                                    meta.name.c_str()));
+      }
+      ImageCall call;
+      call.meta = &meta;
+      call.first_arg = Next();
+      for (uint32_t ai = 0; ai < nargs; ++ai) {
+        if (!DecodeArg(meta.args[ai].type, 0)) {
+          return std::move(error_);
+        }
+      }
+      call.end = Next();
+      image_.calls_.push_back(call);
+    }
+    if (!r_.AtEnd()) {
+      return ParseError("trailing bytes after program");
+    }
+    return OkStatus();
+  }
+
+ private:
+  uint32_t Next() const { return static_cast<uint32_t>(image_.args_.size()); }
+
+  bool Fail(std::string message) {
+    error_ = ParseError(std::move(message));
+    return false;
+  }
+
+  // Appends a leaf node; pointers, groups and unions extend `end` over the
+  // children they decode next.
+  ImageArg& Append(const Type* type, ArgKind kind, uint64_t size) {
+    ImageArg& arg = image_.args_.emplace_back();
+    arg.type = type;
+    arg.kind = kind;
+    arg.end = Next();
+    arg.size = size;
+    return arg;
+  }
+
+  // Byte size of a scalar arg of `type`, as Arg::Size() computes it.
+  static uint64_t ScalarSize(const Type* type) {
+    return type != nullptr ? type->ByteSize() : 8;
+  }
+
+  // Decodes one arg of type `type`, validating its tag against the type
+  // kind, and appends its subtree.
+  bool DecodeArg(const Type* type, int depth) {
+    if (depth > kMaxDecodeDepth) {
+      return Fail("arg nesting too deep");
+    }
+    uint8_t tag_byte;
+    if (!r_.U8(&tag_byte)) {
+      return Fail("truncated arg tag");
+    }
+    switch (static_cast<Tag>(tag_byte)) {
+      case Tag::kConstant: {
+        uint64_t val;
+        if (!r_.U64(&val)) {
+          return Fail("truncated constant");
+        }
+        Append(type, ArgKind::kConstant, ScalarSize(type)).val = val;
+        return true;
+      }
+      case Tag::kData: {
+        uint32_t offset;
+        uint32_t len;
+        if (!r_.Span(&offset, &len)) {
+          return Fail("truncated data arg");
+        }
+        Append(type, ArgKind::kData, len).data_offset = offset;
+        return true;
+      }
+      case Tag::kNullPointer:
+        Append(type, ArgKind::kPointer, 8);
+        return true;
+      case Tag::kPointer: {
+        if (type == nullptr || type->kind != TypeKind::kPtr) {
+          return Fail("pointer tag for non-pointer type");
+        }
+        const uint32_t at = Next();
+        Append(type, ArgKind::kPointer, 8);
+        if (!DecodeArg(type->elem, depth + 1)) {
+          return false;
+        }
+        image_.args_[at].end = Next();
+        return true;
+      }
+      case Tag::kGroup: {
+        uint32_t count;
+        if (!r_.U32(&count) || count > 4096) {
+          return Fail("bad group count");
+        }
+        const bool is_struct =
+            type != nullptr && type->kind == TypeKind::kStruct;
+        if (is_struct && count != type->fields.size()) {
+          return Fail("struct field count mismatch");
+        }
+        if (!is_struct &&
+            (type == nullptr || type->kind != TypeKind::kArray)) {
+          return Fail("group tag for non-aggregate type");
+        }
+        const uint32_t at = Next();
+        Append(type, ArgKind::kGroup, 0);
+        uint64_t size = 0;
+        for (uint32_t i = 0; i < count; ++i) {
+          const uint32_t child = Next();
+          if (!DecodeArg(is_struct ? type->fields[i].type : type->array_elem,
+                         depth + 1)) {
+            return false;
+          }
+          size += image_.args_[child].size;
+        }
+        ImageArg& arg = image_.args_[at];
+        arg.end = Next();
+        arg.size = size;
+        return true;
+      }
+      case Tag::kUnion: {
+        if (type == nullptr || type->kind != TypeKind::kUnion) {
+          return Fail("union tag for non-union type");
+        }
+        uint32_t index;
+        if (!r_.U32(&index) || index >= type->fields.size()) {
+          return Fail("bad union index");
+        }
+        const uint32_t at = Next();
+        Append(type, ArgKind::kUnion, 0).union_index =
+            static_cast<int32_t>(index);
+        if (!DecodeArg(type->fields[index].type, depth + 1)) {
+          return false;
+        }
+        ImageArg& arg = image_.args_[at];
+        arg.end = Next();
+        arg.size = image_.args_[at + 1].size;
+        return true;
+      }
+      case Tag::kResourceRef: {
+        uint32_t ref;
+        uint32_t slot;
+        if (!r_.U32(&ref) || !r_.U32(&slot)) {
+          return Fail("truncated resource ref");
+        }
+        // A non-degraded ref must point at an earlier call whose syscall
+        // produces a compatible resource (mirroring Prog::Validate).
+        const int ref_idx = static_cast<int>(ref);
+        if (ref_idx >= 0) {
+          if (static_cast<size_t>(ref_idx) >= image_.calls_.size()) {
+            return Fail("resource ref not before the call");
+          }
+          if (type == nullptr || type->resource == nullptr) {
+            return Fail("resource arg without resource type");
+          }
+          const Syscall* producer = image_.calls_[ref_idx].meta;
+          bool compatible = false;
+          for (const ResourceDesc* produced : producer->produced_resources) {
+            if (produced->IsCompatibleWith(type->resource)) {
+              compatible = true;
+              break;
+            }
+          }
+          if (!compatible) {
+            return Fail("resource ref producer type mismatch");
+          }
+        }
+        ImageArg& arg = Append(type, ArgKind::kResource, ScalarSize(type));
+        arg.res_ref = ref_idx;
+        arg.res_slot = static_cast<int32_t>(slot);
+        return true;
+      }
+      case Tag::kResourceSpecial: {
+        uint64_t val;
+        if (!r_.U64(&val)) {
+          return Fail("truncated resource special");
+        }
+        Append(type, ArgKind::kResource, ScalarSize(type)).val = val;
+        return true;
+      }
+      case Tag::kVma: {
+        uint64_t addr;
+        uint64_t pages;
+        if (!r_.U64(&addr) || !r_.U64(&pages)) {
+          return Fail("truncated vma arg");
+        }
+        ImageArg& arg = Append(type, ArgKind::kVma, 8);
+        arg.val = addr;
+        arg.vma_pages = pages;
+        return true;
+      }
+    }
+    return Fail(StrFormat("unknown arg tag %u", tag_byte));
+  }
+
+  const Target& target_;
+  DecodedImage& image_;
+  Reader r_;
+  Status error_;
+};
+
+Status DecodedImage::Decode(const Target& target, const uint8_t* data,
+                            size_t size) {
+  target_ = &target;
+  bytes_.assign(data, data + size);
+  calls_.clear();
+  args_.clear();
+  Status status = ImageDecoder(target, *this).Decode();
+  if (!status.ok()) {
+    Clear();
+  }
+  return status;
+}
+
+void DecodedImage::Clear() {
+  bytes_.clear();
+  calls_.clear();
+  args_.clear();
+}
 
 std::vector<uint8_t> SerializeProg(const Prog& prog) {
   return Encode(prog, nullptr);
@@ -319,41 +491,19 @@ std::vector<uint8_t> SerializeProg(const Prog& prog) {
 
 Result<Prog> DeserializeProg(const Target& target, const uint8_t* data,
                              size_t size, ProgArena* arena) {
-  Reader r(data, size);
-  uint32_t magic;
-  uint32_t ncalls;
-  if (!r.U32(&magic) || magic != kMagic) {
-    return ParseError("bad magic");
-  }
-  if (!r.U32(&ncalls) || ncalls > 1024) {
-    return ParseError("bad call count");
-  }
+  DecodedImage image;
+  HEALER_RETURN_IF_ERROR(image.Decode(target, data, size));
   Prog prog(&target);
-  for (uint32_t i = 0; i < ncalls; ++i) {
-    uint32_t id;
-    uint32_t nargs;
-    if (!r.U32(&id) || !r.U32(&nargs)) {
-      return ParseError("truncated call header");
-    }
-    if (id >= target.NumSyscalls()) {
-      return ParseError(StrFormat("unknown syscall id %u", id));
-    }
-    const Syscall& meta = target.syscall(static_cast<int>(id));
-    if (nargs != meta.args.size()) {
-      return ParseError(StrFormat("call %s: arg count mismatch",
-                                  meta.name.c_str()));
-    }
+  prog.calls().reserve(image.calls().size());
+  for (const ImageCall& decoded : image.calls()) {
     Call call;
-    call.meta = &meta;
-    for (uint32_t ai = 0; ai < nargs; ++ai) {
-      HEALER_ASSIGN_OR_RETURN(ArgPtr arg,
-                              DecodeArg(meta.args[ai].type, r, prog, arena));
-      call.args.push_back(std::move(arg));
+    call.meta = decoded.meta;
+    call.args.reserve(decoded.meta->args.size());
+    for (uint32_t node = decoded.first_arg; node < decoded.end;
+         node = image.arg(node).end) {
+      call.args.push_back(BuildArg(image, node, arena));
     }
     prog.calls().push_back(std::move(call));
-  }
-  if (!r.AtEnd()) {
-    return ParseError("trailing bytes after program");
   }
   return prog;
 }
@@ -393,19 +543,17 @@ size_t ProgImage::WireSize(const CallMask* keep) const {
 
 std::vector<uint8_t> EncodeMaskRequest(uint64_t digest, const CallMask& keep,
                                        const std::vector<uint8_t>* image) {
-  Writer w;
   const size_t image_size = image != nullptr ? image->size() : 0;
-  w.Reserve(kMaskRequestHeader + keep.size() + image_size);
+  Writer w(kMaskRequestHeader + keep.size() + image_size);
   w.U32(kMaskRequestMagic);
   w.U64(digest);
   w.U32(static_cast<uint32_t>(keep.size()));
   w.U32(static_cast<uint32_t>(image_size));
-  std::vector<uint8_t> out = w.Take();
-  out.insert(out.end(), keep.begin(), keep.end());
+  w.Raw(keep.data(), keep.size());
   if (image != nullptr) {
-    out.insert(out.end(), image->begin(), image->end());
+    w.Raw(image->data(), image->size());
   }
-  return out;
+  return w.Take();
 }
 
 bool IsMaskRequest(const uint8_t* data, size_t size) {

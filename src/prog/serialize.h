@@ -6,9 +6,10 @@
 // metadata in lockstep with the byte stream, so the format carries only the
 // dynamic choices (values, sizes, union picks, resource refs).
 //
-// A guest keeps the last program it decoded as its resident image, so an
-// execution that only drops calls from it travels as a call-mask request
-// instead of a second copy of the program (DESIGN.md §9).
+// A guest decodes each program once into a flat DecodedImage and keeps it as
+// its resident image, so an execution that only drops calls from it travels
+// as a call-mask request instead of a second copy of the program
+// (DESIGN.md §9).
 
 #ifndef SRC_PROG_SERIALIZE_H_
 #define SRC_PROG_SERIALIZE_H_
@@ -25,12 +26,74 @@ namespace healer {
 std::vector<uint8_t> SerializeProg(const Prog& prog);
 
 // Decodes a buffer produced by SerializeProg against `target`, placing the
-// arg nodes in `arena` (nullptr → heap). Fails on truncated input, unknown
-// syscall ids, structure mismatches, or resource refs that don't point at
-// an earlier, compatible producer call — a returned Prog already satisfies
-// Prog::Validate(), so bulk loaders need no second validation walk.
+// arg nodes in `arena` (nullptr → heap). The tree is built from a
+// DecodedImage, so it fails exactly when DecodedImage::Decode does: on
+// truncated input, unknown syscall ids, structure mismatches, or resource
+// refs that don't point at an earlier, compatible producer call — a
+// returned Prog already satisfies Prog::Validate(), so bulk loaders need no
+// second validation walk.
 Result<Prog> DeserializeProg(const Target& target, const uint8_t* data,
                              size_t size, ProgArena* arena = nullptr);
+
+// One argument of a DecodedImage. Nodes are stored in pre-order: the
+// subtree of node i is [i, end), and the children of a pointer, group or
+// union are the subtrees that tile [i + 1, end) one after another.
+struct ImageArg {
+  const Type* type = nullptr;
+  ArgKind kind = ArgKind::kConstant;
+  // One past the last node of this arg's subtree.
+  uint32_t end = 0;
+  // Bytes the arg occupies in guest memory, as Arg::Size() computes it.
+  uint64_t size = 0;
+  // kConstant and resource specials: the value. kVma: the address.
+  uint64_t val = 0;
+  // kVma: the mapping length in pages.
+  uint64_t vma_pages = 0;
+  // kData: where the payload (`size` bytes) starts in the image bytes.
+  uint32_t data_offset = 0;
+  // kUnion: index of the active field within type->fields.
+  int32_t union_index = 0;
+  // kResource: as Arg::res_ref and Arg::res_slot.
+  int32_t res_ref = -1;
+  int32_t res_slot = 0;
+};
+
+// One call of a DecodedImage: its arguments are the subtrees that tile the
+// node range [first_arg, end), one per entry of meta->args.
+struct ImageCall {
+  const Syscall* meta = nullptr;
+  uint32_t first_arg = 0;
+  uint32_t end = 0;
+};
+
+// A program image decoded once into flat arrays, with its own copy of the
+// wire bytes. A guest replays it for its full run and for every call mask
+// over it without building an Arg tree, and DeserializeProg builds its tree
+// from one, so Decode() is the only place the wire format is validated.
+// Decoding again reuses the buffers' capacity.
+class DecodedImage {
+ public:
+  // Replaces the contents with the program `data` encodes against
+  // `target`. On failure the image is left empty.
+  Status Decode(const Target& target, const uint8_t* data, size_t size);
+  void Clear();
+
+  const Target* target() const { return target_; }
+  const std::vector<ImageCall>& calls() const { return calls_; }
+  const ImageArg& arg(uint32_t node) const { return args_[node]; }
+  // The payload of a kData node.
+  const uint8_t* data(const ImageArg& arg) const {
+    return bytes_.data() + arg.data_offset;
+  }
+
+ private:
+  friend class ImageDecoder;
+
+  const Target* target_ = nullptr;
+  std::vector<uint8_t> bytes_;
+  std::vector<ImageCall> calls_;
+  std::vector<ImageArg> args_;
+};
 
 // Names a program image by its wire bytes.
 uint64_t ImageDigest(const uint8_t* data, size_t size);

@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "src/base/rng.h"
 #include "src/exec/executor.h"
 #include "src/fuzz/call_selector.h"
 #include "src/fuzz/choice_table.h"
@@ -120,6 +121,55 @@ TEST(RelationSnapshotTest, EpochBumpsOnlyWhenEdgesLand) {
   EXPECT_EQ(table.epoch(), after_set);
   // The epoch a reader probes matches the snapshot it fetches.
   EXPECT_EQ(table.snapshot()->epoch(), after_set);
+}
+
+TEST(RelationSnapshotTest, CsrFromEdgeLogMatchesDenseScanReference) {
+  // The snapshot is bucketed from the edge log; the dense n x n scan it
+  // replaced is the reference. Random deltas (with repeats inside and
+  // across them, and empty ones) must publish snapshots equal row by row,
+  // with the epoch moving only when an edge lands.
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const size_t n = seed == 1 ? 1 : 40 * seed;
+    RelationTable table(n);
+    std::vector<uint8_t> dense(n * n, 0);
+    Rng rng(seed);
+    uint64_t epoch = table.epoch();
+    for (int round = 0; round < 60; ++round) {
+      RelationDelta delta;
+      const size_t edges = rng.OneIn(5) ? 0 : rng.Below(3 * n);
+      bool lands = false;
+      for (size_t e = 0; e < edges; ++e) {
+        // Concentrated rows repeat pairs within a delta and across them.
+        const int from = static_cast<int>(rng.Below(std::min<size_t>(n, 8)));
+        const int to = static_cast<int>(rng.Below(n));
+        delta.Add(from, to, RelationSource::kDynamic, round);
+        lands |= dense[static_cast<size_t>(from) * n + to] == 0;
+        dense[static_cast<size_t>(from) * n + to] = 1;
+      }
+      table.Apply(delta);
+      epoch += lands ? 1 : 0;
+      const auto snap = table.snapshot();
+      ASSERT_EQ(snap->epoch(), epoch) << "seed " << seed << " round " << round;
+      ASSERT_EQ(table.epoch(), epoch);
+      size_t total = 0;
+      for (size_t from = 0; from < n; ++from) {
+        std::vector<int32_t> row;
+        for (size_t to = 0; to < n; ++to) {
+          if (dense[from * n + to] != 0) {
+            row.push_back(static_cast<int32_t>(to));
+          }
+        }
+        total += row.size();
+        const int32_t* got = snap->Row(static_cast<int>(from));
+        ASSERT_EQ(std::vector<int32_t>(
+                      got, got + snap->OutDegree(static_cast<int>(from))),
+                  row)
+            << "seed " << seed << " round " << round << " row " << from;
+      }
+      ASSERT_EQ(snap->num_edges(), total);
+      ASSERT_EQ(table.Count(), total);
+    }
+  }
 }
 
 TEST(RelationDeltaTest, AddDeduplicatesAndTracksMembership) {

@@ -419,6 +419,13 @@ TEST(CampaignTest, GoldenFingerprintUnchangedByHotPathRewrites) {
   EXPECT_EQ(fuzzer.relations().Count(), 308u);
   EXPECT_EQ(corpus_hash, 5806540029929752865ULL);
   EXPECT_DOUBLE_EQ(fuzzer.alpha(), 0.5);
+  // Request mix (the paper's §6.2 "few extra executions"): Algorithm 1/2 and
+  // repro probes, whole images shipped and call-mask replays. A change to
+  // the wire path must not change what travels.
+  const MetricsSnapshot telemetry = fuzzer.metrics().Snapshot();
+  EXPECT_EQ(telemetry.counter("healer_exec_analysis_total"), 1874u);
+  EXPECT_EQ(telemetry.counter("healer_exec_images_shipped_total"), 475u);
+  EXPECT_EQ(telemetry.counter("healer_exec_mask_replays_total"), 1799u);
   // Crash list: same bugs, same shortest repros.
   const std::map<BugId, size_t> expected_crashes = {
       {static_cast<BugId>(55), 2}, {static_cast<BugId>(51), 2},

@@ -33,6 +33,7 @@
 #include "src/fuzz/relation_table.h"
 #include "src/fuzz/repro.h"
 #include "src/fuzz/templates.h"
+#include "src/prog/arena.h"
 #include "src/prog/serialize.h"
 #include "src/syzlang/builtin_descs.h"
 #include "src/vm/guest_vm.h"

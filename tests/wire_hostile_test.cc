@@ -3,7 +3,10 @@
 // container (corpus_io.cc). One regression test per reachable decode
 // failure path, plus truncation and bit-flip properties showing the decoder
 // always fails cleanly — no crash, no over-allocation, no partially
-// constructed program escaping.
+// constructed program escaping. Every crafted program, every truncation
+// and a bit-flip loop also go to Executor::RunSerialized, as a plain image
+// and carried by a mask request: the guest must accept and reject exactly
+// what DeserializeProg does, with the same message.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "src/base/hash.h"
+#include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/rng.h"
 #include "src/exec/executor.h"
@@ -56,6 +60,75 @@ Status Decode(const std::vector<uint8_t>& bytes) {
   return DeserializeProg(BuiltinTarget(), bytes.data(), bytes.size()).status();
 }
 
+std::vector<uint8_t> SampleBytes();
+
+// The warning lines logged while `fn` runs.
+template <typename Fn>
+std::vector<std::string> CaptureWarnings(Fn fn) {
+  std::vector<std::string> lines;
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  SetLogSink([&](LogLevel, const std::string& line) { lines.push_back(line); });
+  fn();
+  SetLogSink(nullptr);
+  SetLogLevel(level);
+  return lines;
+}
+
+// Sends `bytes` to an executor holding another image, as a plain image and
+// then carried by a mask request, and checks both answers against
+// DeserializeProg: an accepted program runs every call and becomes the
+// resident image; a rejected one returns the empty result, merges no
+// coverage, drops the image and logs the decoder's message.
+void ExpectExecutorAgrees(const std::vector<uint8_t>& bytes) {
+  static Executor executor(BuiltinTarget(),
+                           KernelConfig::ForVersion(KernelVersion::kV5_11));
+  static const std::vector<uint8_t> other = SampleBytes();
+  Bitmap coverage(CallCoverage::kMapBits);
+  const Result<Prog> reference =
+      DeserializeProg(BuiltinTarget(), bytes.data(), bytes.size());
+  const uint64_t digest = ImageDigest(bytes.data(), bytes.size());
+  const size_t calls = reference.ok() ? reference->size() : 1;
+  const std::vector<uint8_t> carried =
+      EncodeMaskRequest(digest, CallMask(calls, 1), &bytes);
+  // An empty image cannot travel with a mask: length 0 means "replay the
+  // resident one".
+  const bool mask_path = !bytes.empty();
+  for (const bool masked : {false, true}) {
+    if (masked && !mask_path) {
+      continue;
+    }
+    const std::vector<uint8_t>& request = masked ? carried : bytes;
+    executor.RunSerialized(other.data(), other.size(), nullptr);
+    ASSERT_TRUE(executor.has_image());
+    const size_t before = coverage.Count();
+    ExecResult result;
+    const std::vector<std::string> warnings = CaptureWarnings([&] {
+      result = executor.RunSerialized(request.data(), request.size(),
+                                      &coverage);
+    });
+    const char* path = masked ? "mask" : "image";
+    if (reference.ok()) {
+      EXPECT_TRUE(warnings.empty()) << path << ": " << warnings.front();
+      EXPECT_EQ(result.calls.size(), reference->size()) << path;
+      EXPECT_TRUE(executor.has_image()) << path;
+      EXPECT_EQ(executor.image_digest(), digest) << path;
+      continue;
+    }
+    EXPECT_TRUE(result.calls.empty()) << path;
+    EXPECT_FALSE(result.Crashed()) << path;
+    EXPECT_EQ(coverage.Count(), before) << path;
+    EXPECT_FALSE(executor.has_image()) << path;
+    const std::string want =
+        std::string(masked ? "executor: bad mask request: "
+                           : "executor: bad program: ") +
+        reference.status().ToString();
+    ASSERT_EQ(warnings.size(), 1u) << path << ": want " << want;
+    EXPECT_NE(warnings[0].find(want), std::string::npos)
+        << path << ": got " << warnings[0] << ", want " << want;
+  }
+}
+
 void ExpectDecodeError(const std::vector<uint8_t>& bytes,
                        const std::string& message_fragment) {
   const Status status = Decode(bytes);
@@ -63,6 +136,7 @@ void ExpectDecodeError(const std::vector<uint8_t>& bytes,
   EXPECT_EQ(status.code(), StatusCode::kParseError);
   EXPECT_NE(status.message().find(message_fragment), std::string::npos)
       << "got: " << status.message();
+  ExpectExecutorAgrees(bytes);
 }
 
 // First syscall without arguments (for minimal hand-crafted programs).
@@ -128,6 +202,7 @@ TEST(WireHostileTest, CraftedMinimalProgramDecodes) {
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   EXPECT_EQ(prog->size(), 1u);
   EXPECT_EQ(prog->calls()[0].meta->id, call.id);
+  ExpectExecutorAgrees(w.buf);
 }
 
 TEST(WireHostileTest, BadMagicRejected) {
@@ -252,6 +327,7 @@ TEST(WireHostileTest, EveryStrictPrefixFailsCleanly) {
     const Status status = Decode(prefix);
     EXPECT_FALSE(status.ok()) << "prefix of " << len << " bytes decoded";
     EXPECT_EQ(status.code(), StatusCode::kParseError);
+    ExpectExecutorAgrees(prefix);
   }
 }
 
@@ -273,6 +349,43 @@ TEST(WireHostileTest, RandomBitFlipsNeverCrashTheDecoder) {
   }
   // Most flips land in payload bytes; some must be caught by validation.
   EXPECT_LT(survived, 300u);
+}
+
+TEST(WireParityTest, RandomBitFlipsAgreeBetweenDecoderAndExecutor) {
+  // Single-bit flips over four genuine programs: the flipped image goes to
+  // the executor plain and carried by a mask, and both must accept or
+  // reject it exactly as DeserializeProg does.
+  const Target& target = BuiltinTarget();
+  std::vector<int> ids;
+  for (const auto& call : target.syscalls()) {
+    ids.push_back(call->id);
+  }
+  Rng rng(20261018);
+  std::vector<std::vector<uint8_t>> samples = {SampleBytes()};
+  for (const std::vector<std::string>& chain :
+       {std::vector<std::string>{"pipe2", "write$pipe", "read$pipe"},
+        std::vector<std::string>{"epoll_create1", "socket$tcp",
+                                 "epoll_ctl$ADD"},
+        std::vector<std::string>{"openat$kvm", "ioctl$KVM_CREATE_VM",
+                                 "ioctl$KVM_CREATE_VCPU"}}) {
+    samples.push_back(SerializeProg(BuildChain(target, ids, chain, &rng)));
+  }
+  size_t accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<uint8_t> bytes = samples[trial % samples.size()];
+    const size_t bit = rng.Below(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_FALSE(IsMaskRequest(bytes.data(), bytes.size()));
+    accepted += Decode(bytes).ok() ? 1 : 0;
+    ExpectExecutorAgrees(bytes);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trial " << trial << " flipped bit " << bit;
+    }
+  }
+  // Flips in payload bytes still decode; flips in tags, counts and ids
+  // do not.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_LT(accepted, 19000u);
 }
 
 // ---- corpus container hardening ----
