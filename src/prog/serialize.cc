@@ -491,7 +491,10 @@ std::vector<uint8_t> SerializeProg(const Prog& prog) {
 
 Result<Prog> DeserializeProg(const Target& target, const uint8_t* data,
                              size_t size, ProgArena* arena) {
-  DecodedImage image;
+  // Bulk loaders (corpus loads, gossip seed imports) decode program after
+  // program; a per-thread image reuses its buffers instead of growing fresh
+  // ones for each.
+  thread_local DecodedImage image;
   HEALER_RETURN_IF_ERROR(image.Decode(target, data, size));
   Prog prog(&target);
   prog.calls().reserve(image.calls().size());
