@@ -468,7 +468,6 @@ class ImageDecoder {
 
 Status DecodedImage::Decode(const Target& target, const uint8_t* data,
                             size_t size) {
-  target_ = &target;
   bytes_.assign(data, data + size);
   calls_.clear();
   args_.clear();

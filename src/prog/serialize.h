@@ -78,7 +78,6 @@ class DecodedImage {
   Status Decode(const Target& target, const uint8_t* data, size_t size);
   void Clear();
 
-  const Target* target() const { return target_; }
   const std::vector<ImageCall>& calls() const { return calls_; }
   const ImageArg& arg(uint32_t node) const { return args_[node]; }
   // The payload of a kData node.
@@ -89,7 +88,6 @@ class DecodedImage {
  private:
   friend class ImageDecoder;
 
-  const Target* target_ = nullptr;
   std::vector<uint8_t> bytes_;
   std::vector<ImageCall> calls_;
   std::vector<ImageArg> args_;
