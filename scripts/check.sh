@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build+tests, an ASan/UBSan pass over everything,
-# a ThreadSanitizer pass over the multi-threaded fuzzing paths, a relocate
+# a ThreadSanitizer pass over the multi-threaded fuzzing paths (parallel
+# workers, which run the Fuzzer's own loop, and the one-worker == Fuzzer
+# equivalence suite among them), a relocate
 # stage (the golden fingerprint from a copy of the sources at another path), a
-# telemetry stage (smoke-test the observability surfaces + hot-path
+# telemetry stage (smoke-test the observability surfaces and the CLI's
+# rejection of bad flag values + hot-path
 # overhead guard against a -DHEALER_NO_TELEMETRY baseline build), and a
 # parallel stage (scaling-bench smoke + critical-section-share guard), a
 # fleet stage (reactor-fleet scaling: OS-thread ceiling + wall-clock budget
@@ -108,7 +111,15 @@ run_telemetry() {
     echo "FAIL: trace missing traceEvents" >&2; exit 1; }
   grep -q '"name": "exec"' "$tmp/trace.json" || {
     echo "FAIL: trace has no exec spans" >&2; exit 1; }
-  echo "    smoke OK: status lines, Prometheus dump, Chrome trace"
+  # A misspelt tool must not silently run HEALER: usage error, exit 2.
+  local rc=0
+  ./build/tools/healer fuzz --tool syzkaler --hours 0.01 \
+    > /dev/null 2> "$tmp/badtool.txt" || rc=$?
+  [ "$rc" -eq 2 ] || {
+    echo "FAIL: --tool syzkaler exited $rc, want 2" >&2; exit 1; }
+  grep -q "syzkaller" "$tmp/badtool.txt" || {
+    echo "FAIL: --tool error does not name the accepted tools" >&2; exit 1; }
+  echo "    smoke OK: status lines, Prometheus dump, Chrome trace, bad --tool"
 
   echo "==> telemetry: hot-path overhead guard (< 3% vs HEALER_NO_TELEMETRY)"
   cmake -B build-notel -S . -DHEALER_NO_TELEMETRY=ON >/dev/null

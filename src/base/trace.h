@@ -112,14 +112,15 @@ class TraceSpan {
 #ifndef HEALER_NO_TELEMETRY
 #define HEALER_TRACE_CONCAT2(a, b) a##b
 #define HEALER_TRACE_CONCAT(a, b) HEALER_TRACE_CONCAT2(a, b)
-#define HEALER_TRACE_SPAN(buffer, clock, name, category)                   \
+// `tid` is the recording thread's worker index (0 for a single fuzzer).
+#define HEALER_TRACE_SPAN(buffer, clock, name, category, tid)              \
   ::healer::TraceSpan HEALER_TRACE_CONCAT(healer_trace_span_, __COUNTER__)( \
-      (buffer), (clock), (name), (category))
-#define HEALER_TRACE_INSTANT(buffer, clock, name, category) \
-  (buffer)->RecordInstant((name), (category), (clock)->now())
+      (buffer), (clock), (name), (category), (tid))
+#define HEALER_TRACE_INSTANT(buffer, clock, name, category, tid) \
+  (buffer)->RecordInstant((name), (category), (clock)->now(), (tid))
 #else
-#define HEALER_TRACE_SPAN(buffer, clock, name, category) ((void)0)
-#define HEALER_TRACE_INSTANT(buffer, clock, name, category) ((void)0)
+#define HEALER_TRACE_SPAN(buffer, clock, name, category, tid) ((void)0)
+#define HEALER_TRACE_INSTANT(buffer, clock, name, category, tid) ((void)0)
 #endif
 
 }  // namespace healer

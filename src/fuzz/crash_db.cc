@@ -21,12 +21,16 @@ bool CrashDb::Record(BugId bug, const std::string& title,
   record.first_exec = exec_index;
   record.shortest_repro = repro_len;
   record.hits = 1;
-  auto [inserted, ok] = records_.emplace(bug, std::move(record));
-  (void)ok;
-  if (on_new_crash_) {
-    on_new_crash_(inserted->second);
-  }
+  records_.emplace(bug, std::move(record));
   return true;
+}
+
+void CrashDb::NoteRepro(BugId bug, size_t repro_len) {
+  auto it = records_.find(bug);
+  if (it != records_.end()) {
+    it->second.shortest_repro =
+        std::min(it->second.shortest_repro, repro_len);
+  }
 }
 
 const CrashRecord* CrashDb::Find(BugId bug) const {

@@ -5,7 +5,6 @@
 #ifndef SRC_FUZZ_CRASH_DB_H_
 #define SRC_FUZZ_CRASH_DB_H_
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,10 +25,13 @@ struct CrashRecord {
 
 class CrashDb {
  public:
-  // Records one crash occurrence; `repro_len` is the triggering program's
-  // length. Returns true if this bug was new.
+  // Records one crash occurrence (one hit); `repro_len` is the triggering
+  // program's length. Returns true if this bug was new.
   bool Record(BugId bug, const std::string& title, SimClock::Nanos when,
               uint64_t exec_index, size_t repro_len);
+  // Lowers a recorded bug's shortest reproducer to `repro_len` (a minimized
+  // reproducer's length). Not a crash occurrence: counts no hit.
+  void NoteRepro(BugId bug, size_t repro_len);
 
   size_t UniqueBugs() const { return records_.size(); }
   bool Found(BugId bug) const { return records_.count(bug) != 0; }
@@ -37,16 +39,8 @@ class CrashDb {
 
   std::vector<CrashRecord> All() const;
 
-  // Invoked from Record() for each previously-unseen bug, after the record
-  // is stored — the postmortem-bundle trigger. The callback runs on the
-  // recording thread; keep it bounded.
-  void set_on_new_crash(std::function<void(const CrashRecord&)> hook) {
-    on_new_crash_ = std::move(hook);
-  }
-
  private:
   std::map<BugId, CrashRecord> records_;
-  std::function<void(const CrashRecord&)> on_new_crash_;
 };
 
 }  // namespace healer

@@ -1,5 +1,7 @@
 #include "src/fuzz/fuzz_metrics.h"
 
+#include "src/fuzz/relation_table.h"
+
 namespace healer {
 
 // Registration attaches the exposition help text alongside each handle, so
@@ -118,6 +120,23 @@ ParallelMetrics::ParallelMetrics(MetricRegistry* registry) {
               "Host wall nanoseconds of the parallel campaign.");
   lock_held_share = G("healer_parallel_lock_held_share",
                       "Lock-held wall time over wall time times workers.");
+}
+
+void FuzzMetrics::SetStateGauges(size_t coverage, size_t corpus,
+                                 const RelationTable& relations,
+                                 size_t unique_bugs, double alpha_value,
+                                 SimClock::Nanos now) {
+  coverage_branches->Set(static_cast<double>(coverage));
+  corpus_programs->Set(static_cast<double>(corpus));
+  relations_total->Set(static_cast<double>(relations.Count()));
+  relations_static->Set(static_cast<double>(
+      relations.CountBySource(RelationSource::kStatic)));
+  relations_dynamic->Set(static_cast<double>(
+      relations.CountBySource(RelationSource::kDynamic)));
+  crashes_unique->Set(static_cast<double>(unique_bugs));
+  alpha->Set(alpha_value);
+  sim_hours->Set(static_cast<double>(now) /
+                 static_cast<double>(SimClock::kHour));
 }
 
 FaultStats FuzzMetrics::RecoveryStats() const {

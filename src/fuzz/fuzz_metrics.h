@@ -12,9 +12,12 @@
 #define SRC_FUZZ_FUZZ_METRICS_H_
 
 #include "src/base/metrics.h"
+#include "src/base/sim_clock.h"
 #include "src/vm/fault_plan.h"
 
 namespace healer {
+
+class RelationTable;
 
 struct FuzzMetrics {
   // Generation-vs-mutation choice; counted only when the program executed.
@@ -62,6 +65,11 @@ struct FuzzMetrics {
   Histogram* learn_execs;     // healer_learn_execs (probes per round)
 
   explicit FuzzMetrics(MetricRegistry* registry);
+
+  // Sets the campaign-state gauges from the campaign's state.
+  void SetStateGauges(size_t coverage, size_t corpus,
+                      const RelationTable& relations, size_t unique_bugs,
+                      double alpha_value, SimClock::Nanos now);
 
   // Recovery-side counters as a FaultStats (injected[] stays zero; callers
   // merge the VM injectors' stats on top). Keeps the legacy FaultStats

@@ -8,12 +8,18 @@
 // All tools share the executor substrate, parameter synthesis, corpus
 // policy and minimization, so measured differences isolate call-selection
 // strategy — the experimental design of Section 6.
+//
+// The loop (FuzzLoop) exists once. The single-threaded Fuzzer, every
+// shard of a sharded campaign (shard.h) and every parallel worker
+// (parallel.h) run it, so all four tools behave the same in every
+// topology; only the FuzzState behind the loop differs.
 
 #ifndef SRC_FUZZ_FUZZER_H_
 #define SRC_FUZZ_FUZZER_H_
 
 #include <map>
 #include <memory>
+#include <string_view>
 
 #include "src/base/bitmap.h"
 #include "src/base/journal.h"
@@ -42,6 +48,9 @@ enum class ToolKind {
 };
 
 const char* ToolKindName(ToolKind tool);
+// The inverse of ToolKindName; an unknown name is an error that lists the
+// accepted ones.
+Result<ToolKind> ParseToolKind(std::string_view name);
 
 // Ablation hooks for HEALER's guidance (bench_ablation_guidance):
 //   kDefault    — static + dynamic learning, adaptive alpha (the paper)
@@ -94,7 +103,112 @@ struct FuzzerOptions {
   size_t fleet_shards = 0;
 };
 
-class Fuzzer {
+// Campaign state as the fuzzing loop reads and commits it: the Fuzzer's
+// own, updated in place, or a parallel worker's snapshots and batch
+// (parallel.cc).
+class FuzzState {
+ public:
+  // Corpus reads: emptiness and a priority-weighted pick.
+  virtual bool CorpusEmpty() const = 0;
+  virtual const Prog& Choose(Rng* rng) = 0;
+  // The alpha schedule: the current alpha, and one (used_table, gained)
+  // outcome of a fuzzing execution.
+  virtual double Alpha() const = 0;
+  virtual void RecordAlpha(bool used_table, bool gained) = 0;
+  // Counts one executed fuzzing program and returns its exec index.
+  virtual uint64_t CountExec() = 0;
+  // Records one crash report (one hit) of `prog`; returns true if the bug
+  // is new to the campaign. RecordRepro then hands over the bug's
+  // minimized reproducer.
+  virtual bool RecordCrash(const CrashRecord& report, const Prog& prog) = 0;
+  virtual void RecordRepro(BugId bug, Prog repro) = 0;
+  // The delta dynamic learning writes into, and its commit.
+  virtual RelationDelta* Delta() = 0;
+  virtual void CommitRelations() = 0;
+  // Admits a minimized program to the corpus; returns the corpus size after
+  // it, or 0 where that is not known yet.
+  virtual size_t Admit(Prog prog, uint32_t priority) = 0;
+  // Checks a guest out for one execution attempt, and back in after it.
+  virtual GuestVm* CheckOut() = 0;
+  virtual void CheckIn(GuestVm* vm) = 0;
+
+ protected:
+  // Implementations are never deleted through this interface.
+  ~FuzzState() = default;
+};
+
+// One fuzzing thread's iteration (Job_i of Figure 3): build a program
+// (generate or mutate), execute it under the recovery policy, then process
+// its feedback — crash triage and reproduction, Algorithm 1 minimization,
+// Algorithm 2 learning, corpus admission and the alpha outcome. Journal
+// records are staged in `journal` for the owner to drain, except that each
+// seed drains its own (seeding runs before fuzzing starts).
+class FuzzLoop {
+ public:
+  FuzzLoop(const Target& target, const FuzzerOptions& options,
+           FuzzState* state, RelationTable* relations, Bitmap* coverage,
+           SimClock* clock, MetricRegistry* metrics, JournalWriter* journal,
+           TraceBuffer* trace, uint32_t tid);
+  // The analysis callbacks hold `this`.
+  FuzzLoop(const FuzzLoop&) = delete;
+  FuzzLoop& operator=(const FuzzLoop&) = delete;
+
+  // One fuzzing iteration.
+  void Step();
+  // Executes seed programs (counted as fuzzing executions) and processes
+  // their feedback.
+  void SeedWith(const std::vector<Prog>& seeds);
+  // Moonshine's distilled seeds through SeedWith; a no-op for other tools.
+  void SeedDistilled();
+
+ private:
+  CallChooser MakeChooser(bool* used_table);
+  MaskExecFn AnalysisExec();
+  // Executes the calls of `image` that `keep` marks (nullptr: all) under the
+  // recovery policy: bounded retry with exponential backoff on the campaign
+  // clock, quarantine-rebooting guests whose consecutive-failure streak
+  // crosses the threshold. Returns the last attempt's result; a still-failed
+  // result means the program's feedback must be discarded.
+  ExecResult ExecWithRecovery(const ProgImage& image, const CallMask* keep,
+                              Bitmap* coverage);
+  // Accounts one fuzzing execution of a `len`-call program (`kind`:
+  // generated, mutated or seeded) and returns its exec index.
+  uint64_t CountFuzzExec(size_t len, const ExecResult& result, Counter* kind);
+  void ProcessFeedback(const ProgImage& image, const ExecResult& result,
+                       uint64_t exec_index);
+
+  const Target& target_;
+  const FuzzerOptions options_;
+  FuzzState* state_;
+  Bitmap* coverage_;
+  SimClock* clock_;
+  JournalWriter* journal_;
+  TraceBuffer* trace_;
+  uint32_t tid_;
+  FuzzMetrics m_;
+  Rng rng_;
+  // Region allocator for Step-scoped candidate programs; reset at the top
+  // of every Step. Declared before builder_ (which borrows it) so the
+  // builder is torn down first. Programs that survive into the corpus are
+  // heap copies selected by the minimizer.
+  ProgArena arena_;
+  ProgBuilder builder_;
+  CallSelector selector_;
+  // Syzkaller and Moonshine only.
+  std::unique_ptr<ChoiceTable> choice_table_;
+  Minimizer minimizer_;
+  DynamicLearner learner_;
+  CrashReproducer reproducer_;
+  uint64_t adjacency_notes_ = 0;
+};
+
+// Journals the edges of `delta` (a = influencing call, b = influenced
+// call, c = `epoch`, the table epoch after the delta was applied; detail
+// names the pair).
+void JournalLearnedEdges(const Target& target, const RelationDelta& delta,
+                         uint64_t epoch, JournalWriter* journal);
+
+class Fuzzer : private FuzzState {
  public:
   Fuzzer(const Target& target, FuzzerOptions options);
 
@@ -151,32 +265,32 @@ class Fuzzer {
   void RefreshGauges();
 
  private:
-  CallChooser MakeChooser(bool* used_table);
-  MaskExecFn AnalysisExec();
-  // Executes the calls of `image` that `keep` marks (nullptr: all) under the
-  // recovery policy: bounded retry with exponential backoff across the
-  // pool, quarantine-rebooting VMs whose consecutive-failure streak crosses
-  // the threshold. Returns the last attempt's result; a still-failed result
-  // means the program's feedback must be discarded.
-  ExecResult ExecWithRecovery(const ProgImage& image, const CallMask* keep,
-                              Bitmap* coverage);
-  void ProcessFeedback(const ProgImage& image, const ExecResult& result);
-  void LoadMoonshineSeeds();
-  // CrashDb on_new_crash hook target: assembles and writes one postmortem
-  // bundle for a previously-unseen bug (see postmortem.h).
-  void WritePostmortem(const CrashRecord& crash);
+  // ---- FuzzState: feedback applies in place ----
+  bool CorpusEmpty() const override { return corpus_.empty(); }
+  const Prog& Choose(Rng* rng) override { return corpus_.Choose(rng); }
+  double Alpha() const override { return alpha_.alpha(); }
+  void RecordAlpha(bool used_table, bool gained) override;
+  uint64_t CountExec() override { return ++fuzz_execs_; }
+  bool RecordCrash(const CrashRecord& report, const Prog& prog) override;
+  void RecordRepro(BugId bug, Prog repro) override;
+  // Learned edges apply per minimized sequence.
+  RelationDelta* Delta() override { return &delta_; }
+  void CommitRelations() override;
+  size_t Admit(Prog prog, uint32_t priority) override;
+  // Legacy topology: the historical health-skipping round robin
+  // (pool_.Next()) and a no-op check-in. Fleet topology: pops a ready guest
+  // from the next lane (pumping the lane's reactor shard when dry) and
+  // returns it to the freelist — or parks it for an async reboot —
+  // afterwards.
+  GuestVm* CheckOut() override;
+  void CheckIn(GuestVm* vm) override;
 
-  // VM checkout for one execution attempt. Legacy topology: the historical
-  // health-skipping round robin (pool_.Next()) and a no-op release. Fleet
-  // topology: pops a ready guest from the next lane (pumping the lane's
-  // reactor shard when dry) and returns it to the freelist — or parks it
-  // for an async reboot — afterwards.
-  GuestVm* AcquireFuzzVm(size_t* lane);
-  void ReleaseFuzzVm(size_t lane, GuestVm* vm);
+  // Assembles and writes one postmortem bundle for a previously-unseen bug
+  // (see postmortem.h).
+  void WritePostmortem(const CrashRecord& crash, const Prog& prog);
 
   const Target& target_;
   FuzzerOptions options_;
-  Rng rng_;
   SimClock clock_;
   // Declared before pool_: the VMs register their handles in metrics_.
   MetricRegistry metrics_;
@@ -191,29 +305,17 @@ class Fuzzer {
   Corpus corpus_;
   CrashDb crash_db_;
   std::unique_ptr<RelationTable> relations_;
-  std::unique_ptr<CallSelector> selector_;
-  std::unique_ptr<ChoiceTable> choice_table_;
-  // Region allocator for Step-scoped candidate programs; reset at the top
-  // of every Step. Declared before builder_ (which borrows it) so the
-  // builder is torn down first. Programs that survive into the corpus are
-  // heap copies selected by the minimizer.
-  ProgArena arena_;
-  ProgBuilder builder_;
-  Minimizer minimizer_;
-  DynamicLearner learner_;
-  CrashReproducer reproducer_;
+  RelationDelta delta_;
   AlphaSchedule alpha_;
   std::map<BugId, Prog> repros_;
   // Bundle directories written per bug, so minimized reproducers can be
   // appended once minimization finishes.
   std::map<BugId, std::string> bundle_dirs_;
-  // The program whose feedback is being processed; postmortem context for
-  // the CrashDb hook (valid only inside ProcessFeedback).
-  const Prog* current_prog_ = nullptr;
   uint64_t fuzz_execs_ = 0;
-  uint64_t adjacency_notes_ = 0;
-  uint64_t last_alpha_updates_ = 0;
   size_t next_lane_ = 0;  // Fleet-mode lane rotation.
+  size_t lane_ = 0;       // Lane of the checked-out guest.
+  // Declared last: it borrows the state above.
+  FuzzLoop loop_;
 };
 
 }  // namespace healer

@@ -3,11 +3,13 @@
 // state — coverage bitmap, corpus, crash db, relation table, alpha schedule
 // — while each worker pulls ready guests from its VmPool lane (in the
 // default topology that lane holds exactly one pinned VM). The Monitor's
-// log drains ride the pool's reactor shards as SimClock timers; no
-// dedicated monitor thread exists.
+// log drains ride the pool's reactor shards as SimClock timers.
 //
-// The shared-state mutex covers ONLY feedback merging. Workers fuzz
-// against read-mostly views and batch their feedback:
+// Every worker runs the Fuzzer's loop (FuzzLoop, fuzzer.h); worker 0 draws
+// from the campaign seed, so one worker with batch_size 1 makes the same
+// campaign as a one-VM Fuzzer, for every tool. This file holds the
+// worker's FuzzState and its publish. The shared-state mutex covers ONLY
+// feedback merging; workers fuzz against read-mostly views:
 //
 //   * generation/mutation samples an epoch-versioned CorpusSnapshot
 //     (shared_ptr swapped on publish; workers refresh when corpus_epoch
@@ -19,10 +21,13 @@
 //     learning accumulates a per-worker RelationDelta, flushed through
 //     RelationTable::Apply at publish time with exactly-once edge credit —
 //     workers never take a lock to read relations (DESIGN.md §8);
-//   * everything else (corpus adds, crash records, alpha outcomes, the
-//     fuzz_execs total) accumulates in a per-worker batch, published in one
-//     short `mu` acquisition every `batch_size` executions or immediately
-//     on new coverage / a crash.
+//   * everything else (corpus adds, crash reports, reproducer lengths,
+//     alpha outcomes, the fuzz_execs total) accumulates in a per-worker
+//     batch, published in one short `mu` acquisition every `batch_size`
+//     executions, after an iteration that gained coverage, and at once on
+//     the first report of a bug the worker has not seen. That publish
+//     tells whether the bug is new; a new bug is then reproduced on the
+//     worker's guest, outside `mu`.
 //
 // Lock contention is measured, not assumed: healer_parallel_lock_wait_ns /
 // _held_ns histograms and the healer_parallel_lock_held_share gauge make
@@ -44,14 +49,10 @@
 #include "src/base/journal.h"
 #include "src/base/metrics.h"
 #include "src/base/trace.h"
-#include "src/fuzz/call_selector.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_db.h"
 #include "src/fuzz/fuzz_metrics.h"
 #include "src/fuzz/fuzzer.h"
-#include "src/fuzz/learner.h"
-#include "src/fuzz/minimizer.h"
-#include "src/fuzz/prog_builder.h"
 #include "src/fuzz/relation_table.h"
 
 namespace healer {
@@ -70,6 +71,9 @@ struct SharedFuzzState {
   RelationTable relations;  // Snapshot-read, delta-written (DESIGN.md §8).
   // Exec-slot dispenser: each worker claims tickets until total_execs.
   std::atomic<uint64_t> exec_tickets{0};
+  // Moonshine seed executions, run before any worker starts (read-only
+  // afterwards): ticket t takes exec index seeded_execs + t + 1.
+  uint64_t seeded_execs = 0;
   // Current alpha as bit_cast<uint64_t>(double); workers read it per step
   // without touching the AlphaSchedule (which lives under mu).
   std::atomic<uint64_t> alpha_bits{
@@ -86,15 +90,12 @@ struct SharedFuzzState {
 
   // ---- Publish-locked authoritative state (guarded by mu) ----
   // mu is held only inside Worker::Publish — never across VM execution,
-  // generation/mutation, minimization or learning.
+  // generation/mutation, minimization, learning or crash reproduction.
   std::mutex mu;
   Corpus corpus;
   CrashDb crashes;
   AlphaSchedule alpha;
   uint64_t fuzz_execs = 0;
-  // How many alpha re-estimations workers have already published to the
-  // telemetry counters (guarded by mu).
-  uint64_t alpha_updates_seen = 0;
 
   // Fleet-wide telemetry: counters shard per worker thread, so recording is
   // contention-free; the recovery-side fault accounting lives here too (the
@@ -107,6 +108,9 @@ struct SharedFuzzState {
   Journal journal;
 };
 
+// The workers' loops run with the FuzzerOptions these map to: tool,
+// version, seed, fault plan and recovery policy; every other FuzzerOptions
+// field keeps its default.
 struct ParallelOptions {
   ToolKind tool = ToolKind::kHealer;
   KernelVersion version = KernelVersion::kV5_11;
@@ -114,7 +118,7 @@ struct ParallelOptions {
   size_t num_workers = 4;
   uint64_t total_execs = 10000;
   // Executions a worker accumulates before publishing its feedback batch
-  // (new coverage and crashes publish immediately).
+  // (new coverage and a bug new to the worker publish immediately).
   size_t batch_size = 32;
   // Fault injection (empty = fault-free) and per-worker recovery policy.
   FaultPlan fault_plan;
@@ -137,7 +141,7 @@ struct ParallelOptions {
 
 struct ParallelResult {
   size_t coverage = 0;
-  uint64_t fuzz_execs = 0;
+  uint64_t fuzz_execs = 0;  // total_execs, plus Moonshine's seeds.
   size_t corpus_size = 0;
   size_t unique_bugs = 0;
   size_t relations = 0;

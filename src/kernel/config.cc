@@ -18,6 +18,21 @@ const char* KernelVersionName(KernelVersion version) {
   return "?";
 }
 
+Result<KernelVersion> ParseKernelVersion(std::string_view name) {
+  std::string accepted;
+  for (KernelVersion version :
+       {KernelVersion::kV4_19, KernelVersion::kV5_0, KernelVersion::kV5_4,
+        KernelVersion::kV5_6, KernelVersion::kV5_11}) {
+    if (name == KernelVersionName(version)) {
+      return version;
+    }
+    accepted += accepted.empty() ? "" : "|";
+    accepted += KernelVersionName(version);
+  }
+  return InvalidArgument("unknown kernel version '" + std::string(name) +
+                         "' (accepted: " + accepted + ")");
+}
+
 KernelConfig KernelConfig::ForVersion(KernelVersion version) {
   KernelConfig config;
   config.version = version;

@@ -10,6 +10,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+
+#include "src/base/status.h"
 
 namespace healer {
 
@@ -22,6 +25,9 @@ enum class KernelVersion : int {
 };
 
 const char* KernelVersionName(KernelVersion version);
+// The inverse of KernelVersionName; an unknown name is an error that lists
+// the accepted ones.
+Result<KernelVersion> ParseKernelVersion(std::string_view name);
 
 inline bool VersionAtLeast(KernelVersion v, KernelVersion min) {
   return static_cast<int>(v) >= static_cast<int>(min);

@@ -1,6 +1,7 @@
 #include "src/vm/fault_plan.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <string_view>
 
 #include "src/base/string_util.h"
 
@@ -36,6 +37,19 @@ FaultPlan FaultPlan::Uniform(double rate) {
   return plan;
 }
 
+Result<double> ParseFaultRate(std::string_view text) {
+  double rate = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, rate);
+  // The negated range test also rejects NaN.
+  if (ec != std::errc() || ptr != end || !(rate >= 0.0 && rate <= 1.0)) {
+    return InvalidArgument(StrFormat(
+        "bad fault rate '%s' (accepted: a number in [0, 1])",
+        std::string(text).c_str()));
+  }
+  return rate;
+}
+
 Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
   FaultPlan plan;
   for (const std::string& entry : StrSplit(spec, ',')) {
@@ -48,16 +62,17 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
           StrFormat("fault spec entry '%s' is not key=rate", entry.c_str()));
     }
     const std::string key = entry.substr(0, eq);
-    char* end = nullptr;
-    const double rate = std::strtod(entry.c_str() + eq + 1, &end);
-    if (end == entry.c_str() + eq + 1 || rate < 0.0 || rate > 1.0) {
-      return ParseError(
-          StrFormat("bad fault rate in entry '%s'", entry.c_str()));
+    const Result<double> rate =
+        ParseFaultRate(std::string_view(entry).substr(eq + 1));
+    if (!rate.ok()) {
+      return ParseError(StrFormat(
+          "bad fault rate in entry '%s' (accepted: a number in [0, 1])",
+          entry.c_str()));
     }
     bool known = false;
     for (size_t i = 0; i < kNumFaultKinds; ++i) {
       if (key == FaultKindName(static_cast<FaultKind>(i))) {
-        plan.rates[i] = rate;
+        plan.rates[i] = *rate;
         known = true;
         break;
       }

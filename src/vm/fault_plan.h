@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/base/rng.h"
 #include "src/base/sim_clock.h"
@@ -68,9 +69,12 @@ struct FaultPlan {
   static FaultPlan Uniform(double rate);
 };
 
+// Parses one fault rate: a number in [0, 1] with nothing after it.
+Result<double> ParseFaultRate(std::string_view text);
+
 // Parses a plan spec of the form "crash=0.01,timeout=0.005,boot=0.001".
-// Keys: crash, timeout, trunc, bitflip, slow, boot, ringsetup, torn, stall.
-// Unlisted kinds stay 0.
+// Keys: crash, timeout, trunc, bitflip, slow, boot, ringsetup, torn, stall;
+// rates follow ParseFaultRate. Unlisted kinds stay 0.
 Result<FaultPlan> ParseFaultPlan(const std::string& spec);
 
 // How the fuzzing loop reacts to failed executions.

@@ -8,6 +8,18 @@
 
 namespace healer {
 
+PoolShape ShapePool(size_t lanes, size_t fleet_size, size_t fleet_shards) {
+  PoolShape shape;
+  shape.guests = fleet_size == 0 ? lanes : std::max(fleet_size, lanes);
+  shape.fleet.lanes = lanes;
+  shape.fleet.shards =
+      fleet_shards != 0
+          ? fleet_shards
+          : std::clamp<size_t>(shape.guests / 256, 1,
+                               std::max<size_t>(lanes, 1));
+  return shape;
+}
+
 VmPool::VmPool(const Target& target, const KernelConfig& config,
                SimClock* clock, size_t count, VmLatencyModel latency,
                const FaultPlan& fault_plan, uint64_t fault_seed,

@@ -52,6 +52,16 @@ struct FleetOptions {
   size_t shards = 1;
 };
 
+// The pool a fuzzing campaign builds for `lanes` fuzzing lanes (a Fuzzer's
+// VMs, a parallel campaign's workers): one guest per lane when `fleet_size`
+// is 0, else max(fleet_size, lanes) guests; `fleet_shards` reactor shards,
+// or guests / 256 clamped to [1, lanes] when it is 0.
+struct PoolShape {
+  size_t guests = 0;
+  FleetOptions fleet;
+};
+PoolShape ShapePool(size_t lanes, size_t fleet_size, size_t fleet_shards);
+
 // Point-in-time census of one reactor shard, for the status line and the
 // /status introspection endpoint.
 struct FleetShardSummary {

@@ -66,6 +66,21 @@ TEST(FaultPlanTest, ParseSpec) {
   EXPECT_FALSE(ParseFaultPlan("crash=2.0").ok());
   EXPECT_FALSE(ParseFaultPlan("crash=x").ok());
   EXPECT_TRUE(ParseFaultPlan("").ok());  // Empty spec = fault-free plan.
+  EXPECT_FALSE(ParseFaultPlan("crash=0.1x").ok());  // Trailing garbage.
+}
+
+TEST(FaultPlanTest, RateIsANumberInUnitRangeAndNothingElse) {
+  for (const char* good : {"0", "1", "0.02", "1.0", ".5"}) {
+    EXPECT_TRUE(ParseFaultRate(good).ok()) << good;
+  }
+  EXPECT_DOUBLE_EQ(*ParseFaultRate("0.25"), 0.25);
+  for (const char* bad :
+       {"abc", "1.5", "0.1x", "", "-0.1", "nan", "inf", " 0.1", "0.1 "}) {
+    EXPECT_FALSE(ParseFaultRate(bad).ok()) << "'" << bad << "'";
+  }
+  const Result<double> bad = ParseFaultRate("5");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("[0, 1]"), std::string::npos);
 }
 
 TEST(FaultInjectorTest, SameSeedSameDecisionStream) {

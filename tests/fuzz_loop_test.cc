@@ -181,6 +181,19 @@ TEST(CrashDbTest, DedupAndShortestRepro) {
   EXPECT_EQ(record->hits, 2u);
 }
 
+TEST(CrashDbTest, NoteReproLowersWithoutAHit) {
+  CrashDb db;
+  db.Record(BugId::kVcsWriteOob, "oob", 100, 1, 9);
+  db.NoteRepro(BugId::kVcsWriteOob, 3);
+  db.NoteRepro(BugId::kVcsWriteOob, 7);  // Longer: ignored.
+  db.NoteRepro(BugId::kTpkWriteBug, 1);  // Unknown bug: ignored.
+  const CrashRecord* record = db.Find(BugId::kVcsWriteOob);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->shortest_repro, 3u);
+  EXPECT_EQ(record->hits, 1u);
+  EXPECT_EQ(db.UniqueBugs(), 1u);
+}
+
 TEST(CrashDbTest, AllSortedByFirstSeen) {
   CrashDb db;
   db.Record(BugId::kTpkWriteBug, "b", 300, 3, 2);
@@ -439,6 +452,28 @@ TEST(CampaignTest, GoldenFingerprintUnchangedByHotPathRewrites) {
   }
 }
 
+// A hit is one crash report: storing a new bug's minimized reproducer is
+// not another occurrence of the bug.
+TEST(CampaignTest, HitsCountCrashReports) {
+  FuzzerOptions options;
+  options.tool = ToolKind::kHealer;
+  options.seed = 20260806;
+  Fuzzer fuzzer(BuiltinTarget(), options);
+  for (int i = 0; i < 400; ++i) {
+    fuzzer.Step();
+  }
+  uint64_t hits = 0;
+  for (const CrashRecord& rec : fuzzer.crashes().All()) {
+    hits += rec.hits;
+    EXPECT_NE(fuzzer.ReproFor(rec.bug), nullptr);
+  }
+  ASSERT_GT(fuzzer.crashes().UniqueBugs(), 0u);
+  if (kTelemetryEnabled) {
+    const MetricsSnapshot telemetry = fuzzer.metrics().Snapshot();
+    EXPECT_EQ(hits, telemetry.counter("healer_crash_reports_total"));
+  }
+}
+
 TEST(CampaignTest, DifferentSeedsDiffer) {
   CampaignOptions options;
   options.tool = ToolKind::kHealer;
@@ -502,6 +537,35 @@ TEST(ToolKindTest, NamesDistinct) {
     names.insert(ToolKindName(tool));
   }
   EXPECT_EQ(names.size(), 4u);
+}
+
+TEST(ToolKindTest, ParseInvertsNames) {
+  for (ToolKind tool : {ToolKind::kHealer, ToolKind::kHealerMinus,
+                        ToolKind::kSyzkaller, ToolKind::kMoonshine}) {
+    Result<ToolKind> parsed = ParseToolKind(ToolKindName(tool));
+    ASSERT_TRUE(parsed.ok()) << ToolKindName(tool);
+    EXPECT_EQ(*parsed, tool);
+  }
+  const Result<ToolKind> typo = ParseToolKind("syzkaler");
+  ASSERT_FALSE(typo.ok());
+  EXPECT_NE(typo.status().ToString().find("healer-"), std::string::npos)
+      << "the error names the accepted tools";
+  EXPECT_FALSE(ParseToolKind("").ok());
+}
+
+TEST(KernelVersionTest, ParseInvertsNames) {
+  for (KernelVersion version :
+       {KernelVersion::kV4_19, KernelVersion::kV5_0, KernelVersion::kV5_4,
+        KernelVersion::kV5_6, KernelVersion::kV5_11}) {
+    Result<KernelVersion> parsed =
+        ParseKernelVersion(KernelVersionName(version));
+    ASSERT_TRUE(parsed.ok()) << KernelVersionName(version);
+    EXPECT_EQ(*parsed, version);
+  }
+  const Result<KernelVersion> unknown = ParseKernelVersion("5.12");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().ToString().find("4.19"), std::string::npos)
+      << "the error names the accepted versions";
 }
 
 }  // namespace

@@ -99,19 +99,34 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
   return flags;
 }
 
-KernelVersion ParseVersion(const std::string& text) {
-  if (text == "4.19") return KernelVersion::kV4_19;
-  if (text == "5.0") return KernelVersion::kV5_0;
-  if (text == "5.4") return KernelVersion::kV5_4;
-  if (text == "5.6") return KernelVersion::kV5_6;
-  return KernelVersion::kV5_11;
+// Parses the value of --`flag` into `*out`. A bad value prints the parse
+// error, which names the accepted values; the subcommand then exits 2.
+template <typename T>
+bool ParseFlag(const char* flag, Result<T> parsed, T* out) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "bad --%s: %s\n", flag,
+                 parsed.status().ToString().c_str());
+    return false;
+  }
+  *out = *parsed;
+  return true;
 }
 
-ToolKind ParseTool(const std::string& text) {
-  if (text == "healer-") return ToolKind::kHealerMinus;
-  if (text == "syzkaller") return ToolKind::kSyzkaller;
-  if (text == "moonshine") return ToolKind::kMoonshine;
-  return ToolKind::kHealer;
+// --tool and --version, with the defaults every subcommand uses.
+bool ParseToolFlag(const std::map<std::string, std::string>& flags,
+                   ToolKind* tool) {
+  auto it = flags.find("tool");
+  return ParseFlag("tool",
+                   ParseToolKind(it == flags.end() ? "healer" : it->second),
+                   tool);
+}
+
+bool ParseVersionFlag(const std::map<std::string, std::string>& flags,
+                      KernelVersion* version) {
+  auto it = flags.find("version");
+  return ParseFlag(
+      "version", ParseKernelVersion(it == flags.end() ? "5.11" : it->second),
+      version);
 }
 
 std::vector<int> AllIds(const Target& target) {
@@ -174,8 +189,10 @@ int CmdShardedFuzz(const std::map<std::string, std::string>& flags,
   options.use_threads = flags.count("sequential") == 0;
   options.reconcile_every = static_cast<size_t>(
       std::strtoull(get("reconcile-every", "4").c_str(), nullptr, 10));
-  options.base.tool = ParseTool(get("tool", "healer"));
-  options.base.version = ParseVersion(get("version", "5.11"));
+  if (!ParseToolFlag(flags, &options.base.tool) ||
+      !ParseVersionFlag(flags, &options.base.version)) {
+    return 2;
+  }
 
   const ShardedCampaignResult result =
       RunShardedCampaign(BuiltinTarget(), options);
@@ -266,8 +283,10 @@ int CmdShard(const std::map<std::string, std::string>& flags) {
   const double timeout = std::atof(get("poll-timeout", "120").c_str());
 
   FuzzerOptions base;
-  base.tool = ParseTool(get("tool", "healer"));
-  base.version = ParseVersion(get("version", "5.11"));
+  if (!ParseToolFlag(flags, &base.tool) ||
+      !ParseVersionFlag(flags, &base.version)) {
+    return 2;
+  }
   // Same seed schedule as the in-process campaign: shard i fuzzes with
   // seed + i, so an N-process run reproduces `fuzz --shards N --sequential`.
   base.seed =
@@ -416,8 +435,10 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
       return CmdShardedFuzz(flags, shards);
     }
   }
-  options.tool = ParseTool(get("tool", "healer"));
-  options.version = ParseVersion(get("version", "5.11"));
+  if (!ParseToolFlag(flags, &options.tool) ||
+      !ParseVersionFlag(flags, &options.version)) {
+    return 2;
+  }
   options.hours = std::atof(get("hours", "4").c_str());
   options.seed = std::strtoull(get("seed", "1").c_str(), nullptr, 10);
   options.initial_corpus_path = get("corpus-in", "");
@@ -437,9 +458,13 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
 
   // Fault injection: --fault-rate P applies one rate to every kind;
   // --faults gives per-kind rates ("crash=0.01,timeout=0.005").
-  const std::string fault_rate = get("fault-rate", "");
-  if (!fault_rate.empty()) {
-    options.fault_plan = FaultPlan::Uniform(std::atof(fault_rate.c_str()));
+  if (flags.count("fault-rate") != 0) {
+    double rate = 0.0;
+    if (!ParseFlag("fault-rate", ParseFaultRate(flags.at("fault-rate")),
+                   &rate)) {
+      return 2;
+    }
+    options.fault_plan = FaultPlan::Uniform(rate);
   }
   const std::string fault_spec = get("faults", "");
   if (!fault_spec.empty()) {
@@ -550,16 +575,16 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdRelations(const std::map<std::string, std::string>& flags) {
+  KernelVersion version;
+  if (!ParseVersionFlag(flags, &version)) {
+    return 2;
+  }
   const Target& target = BuiltinTarget();
   RelationTable table(target.NumSyscalls());
   const size_t statics = StaticRelationLearn(target, &table);
   std::printf("# static relations: %zu\n", statics);
   if (flags.count("probe") != 0) {
-    Executor executor(
-        target, KernelConfig::ForVersion(
-                    ParseVersion(flags.count("version") != 0
-                                     ? flags.at("version")
-                                     : "5.11")));
+    Executor executor(target, KernelConfig::ForVersion(version));
     SimClock clock;
     DynamicLearner learner(
         &table, [&](const Prog& p) { return executor.Run(p, nullptr); },
@@ -610,6 +635,10 @@ int CmdReplay(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "usage: healer replay CORPUS_FILE [--version V]\n");
     return 2;
   }
+  KernelVersion version;
+  if (!ParseVersionFlag(flags, &version)) {
+    return 2;
+  }
   const Target& target = BuiltinTarget();
   size_t skipped = 0;
   auto progs = LoadProgs(it->second, target, &skipped);
@@ -617,10 +646,7 @@ int CmdReplay(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "%s\n", progs.status().ToString().c_str());
     return 1;
   }
-  Executor executor(
-      target,
-      KernelConfig::ForVersion(ParseVersion(
-          flags.count("version") != 0 ? flags.at("version") : "5.11")));
+  Executor executor(target, KernelConfig::ForVersion(version));
   Bitmap coverage(CallCoverage::kMapBits);
   size_t crashes = 0;
   for (const Prog& prog : *progs) {
@@ -638,8 +664,10 @@ int CmdReplay(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdBugs(const std::map<std::string, std::string>& flags) {
-  const KernelVersion version = ParseVersion(
-      flags.count("version") != 0 ? flags.at("version") : "5.11");
+  KernelVersion version;
+  if (!ParseVersionFlag(flags, &version)) {
+    return 2;
+  }
   std::printf("%-55s %-25s %-9s %s\n", "title", "class", "subsystem",
               "min-repro");
   size_t live = 0;
