@@ -102,8 +102,8 @@ class Worker final : private FuzzState {
       exec_index_ = shared_->seeded_execs + ticket;
       loop_.Step();
       ReleaseVm();
-      if (admitted_ || batch_.execs >= options_.batch_size) {
-        admitted_ = false;
+      // Staged corpus adds mean this iteration gained coverage.
+      if (!batch_.adds.empty() || batch_.execs >= options_.batch_size) {
         Publish();
         PumpLaneShard();
       }
@@ -157,7 +157,6 @@ class Worker final : private FuzzState {
   size_t Admit(Prog prog, uint32_t priority) override {
     const uint64_t hash = Corpus::ContentHash(SerializeProg(prog));
     batch_.adds.push_back(PendingAdd{std::move(prog), priority, hash});
-    admitted_ = true;
     return 0;
   }
   // The worker holds one guest for the whole iteration, from its first
@@ -316,7 +315,6 @@ class Worker final : private FuzzState {
   // Bugs this worker has reported; each is in the shared CrashDb.
   std::set<BugId> known_bugs_;
   uint64_t exec_index_ = 0;  // The index of the last counted execution.
-  bool admitted_ = false;    // The iteration admitted a corpus program.
   JournalWriter jw_;
   std::shared_ptr<const CorpusSnapshot> snapshot_;
   uint64_t snapshot_epoch_ = ~0ULL;
