@@ -1,7 +1,7 @@
 // Domain example: crash triage across kernel versions. Runs a HEALER
 // campaign on every modelled version and produces a syzbot-style report:
-// which bugs exist where, first-trigger times, reproducer lengths, and the
-// VM fleet's console journal tail collected by the background monitor.
+// which bugs exist on which versions, and the shortest reproducer length
+// seen for each.
 //
 //   ./build/examples/crash_triage [hours-per-version]
 

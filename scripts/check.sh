@@ -109,8 +109,10 @@ run_telemetry() {
   fi
   grep -q '"traceEvents"' "$tmp/trace.json" || {
     echo "FAIL: trace missing traceEvents" >&2; exit 1; }
-  grep -q '"name": "exec"' "$tmp/trace.json" || {
-    echo "FAIL: trace has no exec spans" >&2; exit 1; }
+  # The trace renders the journal: exec spans are complete ("X") events,
+  # while exec records render as instants of the same name.
+  grep -q '"name": "exec", "ph": "X"' "$tmp/trace.json" || {
+    echo "FAIL: trace has no complete exec spans" >&2; exit 1; }
   # A misspelt tool must not silently run HEALER: usage error, exit 2.
   local rc=0
   ./build/tools/healer fuzz --tool syzkaler --hours 0.01 \
@@ -119,7 +121,19 @@ run_telemetry() {
     echo "FAIL: --tool syzkaler exited $rc, want 2" >&2; exit 1; }
   grep -q "syzkaller" "$tmp/badtool.txt" || {
     echo "FAIL: --tool error does not name the accepted tools" >&2; exit 1; }
-  echo "    smoke OK: status lines, Prometheus dump, Chrome trace, bad --tool"
+  # Neither a bad number nor a flag the chosen path would ignore may run a
+  # campaign: each is a usage error, exit 2.
+  local bad_args
+  for bad_args in "--journal-capacity abc" "--shards 2 --fault-rate 0.1" \
+      "--trace-outt x"; do
+    rc=0
+    # shellcheck disable=SC2086
+    ./build/tools/healer fuzz $bad_args --hours 0.01 \
+      > /dev/null 2> "$tmp/badflag.txt" || rc=$?
+    [ "$rc" -eq 2 ] || {
+      echo "FAIL: fuzz $bad_args exited $rc, want 2" >&2; exit 1; }
+  done
+  echo "    smoke OK: status lines, Prometheus dump, Chrome trace, bad flags"
 
   echo "==> telemetry: hot-path overhead guard (< 3% vs HEALER_NO_TELEMETRY)"
   cmake -B build-notel -S . -DHEALER_NO_TELEMETRY=ON >/dev/null
@@ -342,6 +356,8 @@ EOF
     echo "FAIL: --journal-out wrote nothing" >&2; exit 1; }
   grep -q '"kind":"exec"' "$tmp/journal.jsonl" || {
     echo "FAIL: journal has no exec records" >&2; exit 1; }
+  grep -q '"kind":"span"' "$tmp/journal.jsonl" || {
+    echo "FAIL: journal has no span records" >&2; exit 1; }
   if command -v python3 >/dev/null; then
     python3 -c 'import json,sys
 for line in open(sys.argv[1]):

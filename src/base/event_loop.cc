@@ -14,8 +14,7 @@ void EventLoop::Post(Callback cb) {
   ready_.push_back(std::move(cb));
 }
 
-EventLoop::TimerId EventLoop::ScheduleAt(SimClock::Nanos deadline,
-                                         Callback cb) {
+void EventLoop::ScheduleAt(SimClock::Nanos deadline, Callback cb) {
   std::lock_guard<std::mutex> lock(mu_);
   const TimerId id = next_id_++;
   timers_.emplace(id, Timer{deadline, next_seq_++, std::move(cb)});
@@ -24,23 +23,10 @@ EventLoop::TimerId EventLoop::ScheduleAt(SimClock::Nanos deadline,
   if (deadline < deadline_hint_.load(std::memory_order_relaxed)) {
     deadline_hint_.store(deadline, std::memory_order_relaxed);
   }
-  return id;
 }
 
-EventLoop::TimerId EventLoop::ScheduleAfter(SimClock::Nanos delay,
-                                            Callback cb) {
-  return ScheduleAt(now() + delay, std::move(cb));
-}
-
-bool EventLoop::Cancel(TimerId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The slot entry is pruned lazily the next time its slot is scanned; the
-  // hint may now be early, which only costs one wasted pump probe.
-  const bool erased = timers_.erase(id) > 0;
-  if (erased) {
-    live_timers_.store(timers_.size(), std::memory_order_relaxed);
-  }
-  return erased;
+void EventLoop::ScheduleAfter(SimClock::Nanos delay, Callback cb) {
+  ScheduleAt(now() + delay, std::move(cb));
 }
 
 size_t EventLoop::AddCompletionSource(Callback handler) {
@@ -150,7 +136,7 @@ size_t EventLoop::RunUntilIdle() {
 
 SimClock::Nanos EventLoop::NextDeadline() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return const_cast<EventLoop*>(this)->NextTimerDeadlineLocked();
+  return NextTimerDeadlineLocked();
 }
 
 void EventLoop::InsertLocked(TimerId id, SimClock::Nanos deadline) {
@@ -178,10 +164,7 @@ void EventLoop::CascadeLocked(size_t level, size_t slot) {
   slots_[level][slot].clear();
   occupancy_[level] &= ~(1ull << slot);
   for (TimerId id : ids) {
-    auto it = timers_.find(id);
-    if (it != timers_.end()) {
-      InsertLocked(id, it->second.deadline);
-    }
+    InsertLocked(id, timers_.at(id).deadline);
   }
 }
 
@@ -207,26 +190,15 @@ void EventLoop::AdvanceCursorLocked(uint64_t tick) {
   }
 }
 
-SimClock::Nanos EventLoop::SlotMinLocked(size_t level, size_t slot) {
-  std::vector<TimerId>& ids = slots_[level][slot];
+SimClock::Nanos EventLoop::SlotMinLocked(size_t level, size_t slot) const {
   SimClock::Nanos best = kNoDeadline;
-  size_t w = 0;
-  for (TimerId id : ids) {
-    auto it = timers_.find(id);
-    if (it == timers_.end()) {
-      continue;  // Cancelled: prune in place.
-    }
-    ids[w++] = id;
-    best = std::min(best, it->second.deadline);
-  }
-  ids.resize(w);
-  if (ids.empty()) {
-    occupancy_[level] &= ~(1ull << slot);
+  for (TimerId id : slots_[level][slot]) {
+    best = std::min(best, timers_.at(id).deadline);
   }
   return best;
 }
 
-SimClock::Nanos EventLoop::NextTimerDeadlineLocked() {
+SimClock::Nanos EventLoop::NextTimerDeadlineLocked() const {
   // Exact minimum: deadlines are compared in nanoseconds across every
   // occupied bucket, so bucket-rotation ambiguity (an entry one full wheel
   // turn out sharing a slot with the current window) cannot mislead.
@@ -254,9 +226,6 @@ void EventLoop::CollectDueLocked(SimClock::Nanos horizon,
   occupancy_[0] &= ~(1ull << slot);
   for (TimerId id : ids) {
     auto it = timers_.find(id);
-    if (it == timers_.end()) {
-      continue;
-    }
     if (it->second.deadline <= horizon) {
       out->push_back(std::move(it->second));
       timers_.erase(it);

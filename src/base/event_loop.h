@@ -48,10 +48,8 @@ namespace healer {
 class EventLoop {
  public:
   using Callback = std::function<void()>;
-  using TimerId = uint64_t;
 
   static constexpr SimClock::Nanos kNoDeadline = ~SimClock::Nanos{0};
-  static constexpr TimerId kInvalidTimer = 0;
 
   explicit EventLoop(SimClock::Nanos start = 0);
 
@@ -61,12 +59,10 @@ class EventLoop {
 
   // ---- timers ----
   // Arms a one-shot timer. A deadline at or before now() fires at the next
-  // pump (ordered by its requested deadline, then arm order). Returns a
-  // handle for Cancel; ids are never reused within a loop.
-  TimerId ScheduleAt(SimClock::Nanos deadline, Callback cb);
-  TimerId ScheduleAfter(SimClock::Nanos delay, Callback cb);
-  // Disarms a timer. Returns false if it already fired or was cancelled.
-  bool Cancel(TimerId id);
+  // pump (ordered by its requested deadline, then arm order). Timers cannot
+  // be cancelled: every armed timer fires.
+  void ScheduleAt(SimClock::Nanos deadline, Callback cb);
+  void ScheduleAfter(SimClock::Nanos delay, Callback cb);
 
   // ---- completion sources (WakeupFd idiom) ----
   // Registers a handler; returns its doorbell index. Registration is not
@@ -83,8 +79,8 @@ class EventLoop {
   // Dispatches every due event with deadline <= horizon, advancing now() to
   // each deadline in turn and to `horizon` at the end. Returns dispatches.
   size_t RunUntil(SimClock::Nanos horizon);
-  // Drains until no timer remains armed (repeating timers never let this
-  // return — test/bench helper, not for Monitor-driven production loops).
+  // Drains until no timer remains armed (a self-rescheduling timer never
+  // lets this return). A test and bench helper.
   size_t RunUntilIdle();
 
   // Earliest armed deadline, kNoDeadline when idle. The unlocked variant
@@ -112,6 +108,8 @@ class EventLoop {
   static constexpr size_t kWheelSlots = 1u << kWheelBits;  // 64
   static constexpr size_t kWheelLevels = 6;  // 64^6 ticks ≈ 2.2 sim-years.
 
+  // Internal timer key; ids are never reused within a loop.
+  using TimerId = uint64_t;
   struct Timer {
     SimClock::Nanos deadline = 0;
     uint64_t seq = 0;  // Arm order; the (deadline, seq) tiebreak.
@@ -124,10 +122,9 @@ class EventLoop {
   void CascadeLocked(size_t level, size_t slot);
   // Moves the wheel cursor to `tick`, cascading at every 64-tick boundary.
   void AdvanceCursorLocked(uint64_t tick);
-  // Minimum live deadline in `slot` of `level`; prunes cancelled ids and
-  // clears the occupancy bit when the slot empties. kNoDeadline if empty.
-  SimClock::Nanos SlotMinLocked(size_t level, size_t slot);
-  SimClock::Nanos NextTimerDeadlineLocked();
+  // Minimum deadline in `slot` of `level`; kNoDeadline if empty.
+  SimClock::Nanos SlotMinLocked(size_t level, size_t slot) const;
+  SimClock::Nanos NextTimerDeadlineLocked() const;
   void RefreshHintLocked();
   // Collects due (deadline <= horizon) timers from the cursor's level-0
   // slot into `out`, sorted by (deadline, seq).
@@ -139,7 +136,8 @@ class EventLoop {
   uint64_t next_id_ = 1;
   uint64_t next_seq_ = 0;
   std::unordered_map<TimerId, Timer> timers_;
-  // slots_[level][slot] holds timer ids; cancelled ids are pruned lazily.
+  // slots_[level][slot] holds the ids of armed timers, every one of which
+  // is in timers_.
   std::vector<TimerId> slots_[kWheelLevels][kWheelSlots];
   uint64_t occupancy_[kWheelLevels] = {};
   std::vector<Callback> ready_;

@@ -2,15 +2,19 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <new>
+
+#include "src/base/string_util.h"
 
 namespace healer {
 
 namespace {
 
 // JSON string escaping for `detail` payloads (control chars, quote,
-// backslash). Matches the escaping used by the trace exporter.
+// backslash), shared by the JSONL and Chrome exports.
 void AppendJsonEscaped(const std::string& in, std::string* out) {
   for (char ch : in) {
     switch (ch) {
@@ -104,6 +108,8 @@ const char* JournalKindName(JournalKind kind) {
       return "ring-stall";
     case JournalKind::kCrash:
       return "crash";
+    case JournalKind::kSpan:
+      return "span";
   }
   return "unknown";
 }
@@ -192,22 +198,20 @@ void Journal::Push(JournalRecord record) {
 }
 
 std::vector<JournalRecord> Journal::Records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<JournalRecord> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(slots_[(next_ + i) % size_]);
-  }
-  return out;
+  return Tail(std::numeric_limits<size_t>::max());
 }
 
 std::vector<JournalRecord> Journal::Tail(size_t n) const {
-  std::vector<JournalRecord> all = Records();
-  if (n >= all.size()) {
-    return all;
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t count = std::min(n, size_);
+  std::vector<JournalRecord> out;
+  out.reserve(count);
+  // Logical index i (0 = oldest) lives at slot (next_ + i) % size_: next_
+  // stays 0 until the ring wraps, and is the oldest slot afterwards.
+  for (size_t i = size_ - count; i < size_; ++i) {
+    out.push_back(slots_[(next_ + i) % size_]);
   }
-  return std::vector<JournalRecord>(all.end() - static_cast<long>(n),
-                                    all.end());
+  return out;
 }
 
 size_t Journal::size() const {
@@ -230,6 +234,36 @@ std::string JournalRecordsToJsonl(const std::vector<JournalRecord>& records) {
     out += record.ToJsonLine();
     out += "\n";
   }
+  return out;
+}
+
+std::string JournalRecordsToChromeJson(
+    const std::vector<JournalRecord>& records) {
+  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
+  for (size_t i = 0; i < records.size(); ++i) {
+    const JournalRecord& r = records[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"name\": \"";
+    if (r.kind == JournalKind::kSpan) {
+      AppendJsonEscaped(r.detail, &out);
+      out += StrFormat("\", \"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
+                       "\"ts\": %.3f, \"dur\": %.3f}",
+                       r.worker, static_cast<double>(r.at) / 1000.0,
+                       static_cast<double>(r.a) / 1000.0);
+      continue;
+    }
+    out += JournalKindName(r.kind);
+    out += StrFormat("\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, "
+                     "\"tid\": %u, \"ts\": %.3f, \"args\": {\"a\": %llu, "
+                     "\"b\": %llu, \"c\": %llu, \"detail\": \"",
+                     r.worker, static_cast<double>(r.at) / 1000.0,
+                     static_cast<unsigned long long>(r.a),
+                     static_cast<unsigned long long>(r.b),
+                     static_cast<unsigned long long>(r.c));
+    AppendJsonEscaped(r.detail, &out);
+    out += "\"}}";
+  }
+  out += "\n]}\n";
   return out;
 }
 

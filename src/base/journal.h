@@ -1,5 +1,7 @@
 // Flight-recorder journal: a bounded ring of typed structured records that
-// answers "what happened" where metrics only answer "how fast".
+// answers "what happened" where metrics only answer "how fast". It is the
+// campaign's one event stream: timed spans (JournalSpan) are records too,
+// and the Chrome trace export renders the same records.
 //
 // Records are appended either directly (single-threaded Fuzzer) or through a
 // per-worker JournalWriter — a private, unsynchronized buffer the parallel
@@ -38,9 +40,10 @@ enum class JournalKind : uint8_t {
   kVmLifecycle = 5,      // Boot / reboot / quarantine transition.
   kRingStall = 6,        // Retired: no longer written. Kept so kCrash stays 7.
   kCrash = 7,            // A kernel bug was triggered.
+  kSpan = 8,             // A timed stretch of the fuzzing loop.
 };
 
-inline constexpr size_t kNumJournalKinds = 8;
+inline constexpr size_t kNumJournalKinds = 9;
 
 // Stable lowercase name used in both export encodings.
 const char* JournalKindName(JournalKind kind);
@@ -97,7 +100,7 @@ class Journal {
 
   // Buffered records, oldest first.
   std::vector<JournalRecord> Records() const;
-  // The newest min(n, size) records, oldest first.
+  // The newest min(n, size) records, oldest first; copies only those.
   std::vector<JournalRecord> Tail(size_t n) const;
   size_t size() const;
   // Records lost to the bounded ring (recorded - buffered).
@@ -172,9 +175,44 @@ class JournalWriter {
   std::vector<JournalRecord> buffer_;
 };
 
+// RAII span: one kSpan record covering [construction, destruction) on the
+// simulated clock (at = start, a = duration, detail = `name`). The clock is
+// read only when the writer is enabled, and -DHEALER_NO_TELEMETRY compiles
+// the span out. Spans record at scope exit, so a writer's records are
+// ordered by end time: a nested span closes before its parent.
+class JournalSpan {
+ public:
+  JournalSpan(JournalWriter* journal, const SimClock* clock, const char* name)
+      : journal_(kTelemetryEnabled && journal->enabled() ? journal : nullptr),
+        clock_(clock),
+        name_(name),
+        start_(journal_ != nullptr ? clock->now() : 0) {}
+  ~JournalSpan() {
+    if (journal_ != nullptr) {
+      journal_->Record(JournalKind::kSpan, start_, clock_->now() - start_, 0,
+                       0, name_);
+    }
+  }
+  JournalSpan(const JournalSpan&) = delete;
+  JournalSpan& operator=(const JournalSpan&) = delete;
+
+ private:
+  JournalWriter* journal_;
+  const SimClock* clock_;
+  const char* name_;
+  SimClock::Nanos start_;
+};
+
 // JSONL for a plain record list (used for the journal copied into
 // CampaignResult after the ring is gone).
 std::string JournalRecordsToJsonl(const std::vector<JournalRecord>& records);
+
+// Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev) for a record
+// list. A span becomes a complete event named after its detail; every other
+// record an instant named after its kind, with a, b, c and detail as args.
+// Simulated nanoseconds map to trace microseconds; tid is the worker.
+std::string JournalRecordsToChromeJson(
+    const std::vector<JournalRecord>& records);
 
 // Compact binary frame: magic "HJB1", record count, then length-prefixed
 // records. Round-trips exactly; decoding is defensive (bad magic, truncated

@@ -1,5 +1,7 @@
 #include "src/base/string_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace healer {
@@ -69,6 +71,32 @@ std::string StrJoin(const std::vector<std::string>& items,
     out.append(items[i]);
   }
   return out;
+}
+
+Result<uint64_t> ParseUint(std::string_view text, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    return InvalidArgument(StrFormat(
+        "'%s' is not an integer in [0, %llu]", std::string(text).c_str(),
+        static_cast<unsigned long long>(max)));
+  }
+  return value;
+}
+
+Result<double> ParseNonNegativeReal(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  // from_chars takes a leading '-', "inf" and "nan"; the range test
+  // rejects all three.
+  if (ec != std::errc() || ptr != end || !(value >= 0.0) ||
+      !std::isfinite(value)) {
+    return InvalidArgument(StrFormat(
+        "'%s' is not a finite number >= 0", std::string(text).c_str()));
+  }
+  return value;
 }
 
 }  // namespace healer

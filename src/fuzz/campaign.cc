@@ -30,8 +30,6 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   fuzz_options.fixed_alpha = options.fixed_alpha;
   fuzz_options.fault_plan = options.fault_plan;
   fuzz_options.recovery = options.recovery;
-  fuzz_options.trace_capacity =
-      options.capture_trace ? options.trace_capacity : 0;
   fuzz_options.journal_capacity = options.journal_capacity;
   fuzz_options.postmortem_dir = options.postmortem_dir;
   Fuzzer fuzzer(target, fuzz_options);
@@ -173,9 +171,6 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   result.faults = fuzzer.fault_stats();
   fuzzer.RefreshGauges();
   result.telemetry = fuzzer.metrics().Snapshot();
-  if (options.capture_trace) {
-    result.trace_events = fuzzer.trace().Events();
-  }
   result.journal = fuzzer.journal().Records();
   // Final publication so post-campaign scrapes (--serve-secs linger) see
   // the end-of-run state.

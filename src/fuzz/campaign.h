@@ -53,12 +53,8 @@ struct CampaignOptions {
   // Live status: a one-line summary through the log sink every
   // `status_period` of simulated time (0 disables).
   SimClock::Nanos status_period = 0;
-  // Span tracing: when enabled the fuzzer records into a bounded ring of
-  // `trace_capacity` events, copied into CampaignResult::trace_events.
-  bool capture_trace = false;
-  size_t trace_capacity = 1 << 15;
-  // Flight-recorder ring capacity (0 disables journaling); the buffered
-  // window is copied into CampaignResult::journal.
+  // Flight-recorder ring capacity (0 disables journaling, spans included);
+  // the buffered window is copied into CampaignResult::journal.
   size_t journal_capacity = 4096;
   // When non-empty, every unique crash writes a self-contained postmortem
   // bundle directory here (see postmortem.h).
@@ -98,8 +94,6 @@ struct CampaignResult {
   // Full metric-registry snapshot at campaign end (counters, gauges,
   // histograms). Use ToPrometheusText()/ToJson() to export.
   MetricsSnapshot telemetry;
-  // Buffered span trace, oldest first (empty unless capture_trace).
-  std::vector<TraceEvent> trace_events;
   // Flight-recorder window at campaign end, oldest first (empty when
   // journal_capacity is 0). Seed-deterministic like every other field.
   std::vector<JournalRecord> journal;

@@ -86,15 +86,13 @@ void JournalLearnedEdges(const Target& target, const RelationDelta& delta,
 FuzzLoop::FuzzLoop(const Target& target, const FuzzerOptions& options,
                    FuzzState* state, RelationTable* relations,
                    Bitmap* coverage, SimClock* clock, MetricRegistry* metrics,
-                   JournalWriter* journal, TraceBuffer* trace, uint32_t tid)
+                   JournalWriter* journal)
     : target_(target),
       options_(options),
       state_(state),
       coverage_(coverage),
       clock_(clock),
       journal_(journal),
-      trace_(trace),
-      tid_(tid),
       m_(metrics),
       rng_(options.seed),
       builder_(target,
@@ -128,7 +126,7 @@ MaskExecFn FuzzLoop::AnalysisExec() {
 
 ExecResult FuzzLoop::ExecWithRecovery(const ProgImage& image,
                                       const CallMask* keep, Bitmap* coverage) {
-  HEALER_TRACE_SPAN(trace_, clock_, "exec", "vm", tid_);
+  const JournalSpan span(journal_, clock_, "exec");
   // Length of the program that runs, for the journal.
   const size_t len =
       keep == nullptr ? image.prog().size()
@@ -159,7 +157,6 @@ ExecResult FuzzLoop::ExecWithRecovery(const ProgImage& image,
     if (vm.consecutive_failures() >= options_.recovery.quarantine_threshold) {
       vm.QuarantineReboot();
       m_.quarantines->Add();
-      HEALER_TRACE_INSTANT(trace_, clock_, "quarantine", "fault", tid_);
     }
     state_->CheckIn(&vm);
     if (attempt >= options_.recovery.max_retries) {
@@ -308,7 +305,6 @@ void FuzzLoop::ProcessFeedback(const ProgImage& image,
     // fleet and consume simulated time like any other analysis.
     if (state_->RecordCrash(report, image.prog())) {
       m_.crash_new->Add();
-      HEALER_TRACE_INSTANT(trace_, clock_, "new-crash", "crash", tid_);
       std::optional<CrashRepro> repro = reproducer_.Minimize(image, crash.bug);
       if (repro.has_value()) {
         state_->RecordRepro(crash.bug, std::move(repro->prog));
@@ -322,7 +318,7 @@ void FuzzLoop::ProcessFeedback(const ProgImage& image,
   const uint64_t min_before = minimizer_.execs_used();
   std::vector<MinimizedSeq> minimized;
   {
-    HEALER_TRACE_SPAN(trace_, clock_, "minimize", "analysis", tid_);
+    const JournalSpan span(journal_, clock_, "minimize");
     minimized = minimizer_.Minimize(image, result);
   }
   m_.minimize_rounds->Add();
@@ -335,7 +331,7 @@ void FuzzLoop::ProcessFeedback(const ProgImage& image,
       const uint64_t learn_before = learner_.execs_used();
       size_t staged = 0;
       {
-        HEALER_TRACE_SPAN(trace_, clock_, "learn", "analysis", tid_);
+        const JournalSpan span(journal_, clock_, "learn");
         staged = learner_.LearnInto(image, seq.keep, state_->Delta());
       }
       m_.learn_rounds->Add();
@@ -379,7 +375,7 @@ Fuzzer::Fuzzer(const Target& target, FuzzerOptions options)
       coverage_(CallCoverage::kMapBits),
       relations_(std::make_unique<RelationTable>(target.NumSyscalls())),
       loop_(target, options_, this, relations_.get(), &coverage_, &clock_,
-            &metrics_, &journal_writer_, &trace_, 0) {
+            &metrics_, &journal_writer_) {
   for (size_t i = 0; i < pool_.size(); ++i) {
     pool_.vm(i).set_journal(&journal_writer_);
   }
@@ -438,7 +434,9 @@ void Fuzzer::RecordAlpha(bool used_table, bool gained) {
   if (alpha_.updates() != updates) {
     m_.alpha_updates->Add();
     m_.alpha->Set(alpha_.alpha());
-    HEALER_TRACE_INSTANT(&trace_, &clock_, "alpha-update", "alpha", 0);
+    // A zero-length span marks the update.
+    journal_writer_.Record(JournalKind::kSpan, clock_.now(), 0, 0, 0,
+                           "alpha-update");
   }
 }
 
@@ -473,7 +471,6 @@ void Fuzzer::CommitRelations() {
   JournalLearnedEdges(target_, delta_, relations_->epoch(), &journal_writer_);
   if (learned > 0) {
     m_.relations_learned->Add(learned);
-    HEALER_TRACE_INSTANT(&trace_, &clock_, "relation-learned", "learn", 0);
   }
   delta_.clear();
 }

@@ -24,7 +24,6 @@
 #include "src/base/bitmap.h"
 #include "src/base/journal.h"
 #include "src/base/metrics.h"
-#include "src/base/trace.h"
 #include "src/fuzz/call_selector.h"
 #include "src/fuzz/choice_table.h"
 #include "src/fuzz/corpus.h"
@@ -82,12 +81,9 @@ struct FuzzerOptions {
   // surviving it; see fault_plan.h.
   FaultPlan fault_plan;
   RecoveryPolicy recovery;
-  // Span-trace ring capacity (0 disables tracing entirely; recording then
-  // costs one predicted branch per span, no lock).
-  size_t trace_capacity = 0;
-  // Flight-recorder ring capacity (0 disables journaling). On by default:
-  // recording is a vector push into a private buffer, drained in batches,
-  // and the check.sh overhead guard covers it.
+  // Flight-recorder ring capacity (0 disables journaling, spans included).
+  // On by default: recording is a vector push into a private buffer,
+  // drained in batches, and the check.sh overhead guard covers it.
   size_t journal_capacity = 4096;
   // When non-empty, each unique crash writes a postmortem bundle directory
   // here (see postmortem.h for the layout).
@@ -141,14 +137,14 @@ class FuzzState {
 // (generate or mutate), execute it under the recovery policy, then process
 // its feedback — crash triage and reproduction, Algorithm 1 minimization,
 // Algorithm 2 learning, corpus admission and the alpha outcome. Journal
-// records are staged in `journal` for the owner to drain, except that each
-// seed drains its own (seeding runs before fuzzing starts).
+// records, the exec/minimize/learn spans among them, are staged in
+// `journal` for the owner to drain, except that each seed drains its own
+// (seeding runs before fuzzing starts).
 class FuzzLoop {
  public:
   FuzzLoop(const Target& target, const FuzzerOptions& options,
            FuzzState* state, RelationTable* relations, Bitmap* coverage,
-           SimClock* clock, MetricRegistry* metrics, JournalWriter* journal,
-           TraceBuffer* trace, uint32_t tid);
+           SimClock* clock, MetricRegistry* metrics, JournalWriter* journal);
   // The analysis callbacks hold `this`.
   FuzzLoop(const FuzzLoop&) = delete;
   FuzzLoop& operator=(const FuzzLoop&) = delete;
@@ -183,8 +179,6 @@ class FuzzLoop {
   Bitmap* coverage_;
   SimClock* clock_;
   JournalWriter* journal_;
-  TraceBuffer* trace_;
-  uint32_t tid_;
   FuzzMetrics m_;
   Rng rng_;
   // Region allocator for Step-scoped candidate programs; reset at the top
@@ -256,7 +250,6 @@ class Fuzzer : private FuzzState {
   // ---- telemetry ----
   MetricRegistry& metrics() { return metrics_; }
   const MetricRegistry& metrics() const { return metrics_; }
-  TraceBuffer& trace() { return trace_; }
   Journal& journal() { return journal_; }
   const Journal& journal() const { return journal_; }
   // Pushes the derived campaign-state gauges (coverage, corpus size,
@@ -294,7 +287,6 @@ class Fuzzer : private FuzzState {
   SimClock clock_;
   // Declared before pool_: the VMs register their handles in metrics_.
   MetricRegistry metrics_;
-  TraceBuffer trace_{options_.trace_capacity};
   Journal journal_{options_.journal_capacity};
   // The single fuzzing thread is the journal's one producer; the VMs share
   // this writer (set_journal) and it is flushed at the end of each Step.

@@ -75,13 +75,11 @@ class Worker final : private FuzzState {
         lane_(index % pool->num_lanes()),
         shard_journal_(shard_journal),
         clock_(clock),
-        tid_(static_cast<uint32_t>(index)),
         m_(&shared->metrics),
         pm_(&shared->metrics),
         jw_(&shared->journal, static_cast<uint32_t>(index)),
         loop_(target, WorkerOptions(options, index), this, &shared->relations,
-              &shared->coverage, clock, &shared->metrics, &jw_,
-              &shared->trace, static_cast<uint32_t>(index)) {}
+              &shared->coverage, clock, &shared->metrics, &jw_) {}
 
   // Moonshine's distilled seeds, run once before the first ticket; their
   // feedback is published before any worker starts.
@@ -282,8 +280,8 @@ class Worker final : private FuzzState {
       shared_->alpha_bits.store(
           std::bit_cast<uint64_t>(shared_->alpha.alpha()),
           std::memory_order_relaxed);
-      shared_->trace.RecordInstant("alpha-update", "alpha", clock_->now(),
-                                   tid_);
+      // A zero-length span marks the update.
+      jw_.Record(JournalKind::kSpan, clock_->now(), 0, 0, 0, "alpha-update");
     }
     bool added = false;
     for (PendingAdd& add : batch_.adds) {
@@ -308,7 +306,6 @@ class Worker final : private FuzzState {
   JournalWriter* shard_journal_;
   GuestVm* vm_ = nullptr;  // Checked out between CheckOut and ReleaseVm.
   SimClock* clock_;  // The shared campaign clock.
-  uint32_t tid_;
   FuzzMetrics m_;
   ParallelMetrics pm_;
   Batch batch_;
@@ -326,8 +323,7 @@ class Worker final : private FuzzState {
 
 ParallelResult RunParallelFuzz(const Target& target,
                                const ParallelOptions& options) {
-  SharedFuzzState shared(target.NumSyscalls(), options.trace_capacity,
-                         options.journal_capacity);
+  SharedFuzzState shared(target.NumSyscalls(), options.journal_capacity);
   if (options.tool == ToolKind::kHealer) {
     StaticRelationLearn(target, &shared.relations);
   }
@@ -357,8 +353,6 @@ ParallelResult RunParallelFuzz(const Target& target,
           shard_journals[pool.shard_of_lane(i % pool.num_lanes())].get());
     }
   }
-  Monitor monitor(&pool);
-  monitor.Start();
 
   std::vector<std::unique_ptr<Worker>> workers;
   for (size_t i = 0; i < options.num_workers; ++i) {
@@ -383,9 +377,8 @@ ParallelResult RunParallelFuzz(const Target& target,
   }
   const uint64_t wall_ns = ToNs(std::chrono::steady_clock::now() - wall_start);
   ParallelResult result;
-  result.vm_health = monitor.HealthReport();
+  result.vm_health = pool.HealthReport();
   result.fleet = pool.ShardSummaries();
-  monitor.Stop();
 
   result.coverage = shared.coverage.Count();
   result.fuzz_execs = shared.fuzz_execs;
@@ -396,7 +389,6 @@ ParallelResult RunParallelFuzz(const Target& target,
       shared.relations.CountBySource(RelationSource::kStatic);
   result.relations_dynamic =
       shared.relations.CountBySource(RelationSource::kDynamic);
-  result.monitor_lines = monitor.lines_collected();
   FuzzMetrics handles(&shared.metrics);
   ParallelMetrics pm(&shared.metrics);
   result.faults = pool.InjectedStats();
@@ -416,7 +408,6 @@ ParallelResult RunParallelFuzz(const Target& target,
       fleet_ns > 0.0 ? static_cast<double>(pm.lock_held_ns->Sum()) / fleet_ns
                      : 0.0);
   result.telemetry = shared.metrics.Snapshot();
-  result.trace_events = shared.trace.Events();
   result.journal = shared.journal.Records();
   return result;
 }

@@ -2,8 +2,7 @@
 // fuzzing process on the host and synchronize through a shared fuzzing
 // state — coverage bitmap, corpus, crash db, relation table, alpha schedule
 // — while each worker pulls ready guests from its VmPool lane (in the
-// default topology that lane holds exactly one pinned VM). The Monitor's
-// log drains ride the pool's reactor shards as SimClock timers.
+// default topology that lane holds exactly one pinned VM).
 //
 // Every worker runs the Fuzzer's loop (FuzzLoop, fuzzer.h); worker 0 draws
 // from the campaign seed, so one worker with batch_size 1 makes the same
@@ -48,7 +47,6 @@
 
 #include "src/base/journal.h"
 #include "src/base/metrics.h"
-#include "src/base/trace.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_db.h"
 #include "src/fuzz/fuzz_metrics.h"
@@ -59,11 +57,9 @@ namespace healer {
 
 // The "Shared Fuzz State" box of Figure 3.
 struct SharedFuzzState {
-  explicit SharedFuzzState(size_t num_syscalls, size_t trace_capacity = 0,
-                           size_t journal_capacity = 0)
+  explicit SharedFuzzState(size_t num_syscalls, size_t journal_capacity = 0)
       : coverage(CallCoverage::kMapBits),
         relations(num_syscalls),
-        trace(trace_capacity),
         journal(journal_capacity) {}
 
   // ---- Lock-free fleet state ----
@@ -101,10 +97,9 @@ struct SharedFuzzState {
   // contention-free; the recovery-side fault accounting lives here too (the
   // injected counters live in the VM injectors, merged at the end).
   MetricRegistry metrics;
-  TraceBuffer trace;
-  // Flight-recorder ring. Workers never Append directly: each stages
-  // records in its private JournalWriter and drains them at its publish
-  // point, so the journal mutex sees one acquire per batch.
+  // Flight-recorder ring, spans included. Workers never Append directly:
+  // each stages records in its private JournalWriter and drains them at its
+  // publish point, so the journal mutex sees one acquire per batch.
   Journal journal;
 };
 
@@ -123,9 +118,7 @@ struct ParallelOptions {
   // Fault injection (empty = fault-free) and per-worker recovery policy.
   FaultPlan fault_plan;
   RecoveryPolicy recovery;
-  // Span-trace ring capacity (0 disables tracing).
-  size_t trace_capacity = 0;
-  // Flight-recorder ring capacity (0 disables journaling).
+  // Flight-recorder ring capacity (0 disables journaling, spans included).
   size_t journal_capacity = 0;
   // Total simulated guests. 0 (the default) keeps the legacy topology: one
   // VM pinned per worker, byte-identical to the historical pool. A value
@@ -147,9 +140,8 @@ struct ParallelResult {
   size_t relations = 0;
   size_t relations_static = 0;
   size_t relations_dynamic = 0;
-  size_t monitor_lines = 0;
   // Injected + recovery counters, and the final per-VM health accounting
-  // from the Monitor.
+  // (VmPool::HealthReport).
   FaultStats faults;
   std::vector<VmHealth> vm_health;
   // Final per-shard fleet census (one entry even in legacy mode).
@@ -159,10 +151,8 @@ struct ParallelResult {
   std::vector<Prog> corpus_progs;
   // Deduplicated crash records (bug set, hit counts, shortest repros).
   std::vector<CrashRecord> crash_records;
-  // Full telemetry snapshot of the shared registry, and the buffered span
-  // trace (empty unless options.trace_capacity > 0).
+  // Full telemetry snapshot of the shared registry.
   MetricsSnapshot telemetry;
-  std::vector<TraceEvent> trace_events;
   // Flight-recorder window, oldest first (empty unless journal_capacity).
   std::vector<JournalRecord> journal;
 };

@@ -94,8 +94,6 @@ void GuestVm::Boot() {
     ctrl_.Recv(&frame);  // Consume the ack.
   }
   set_state(VmState::kReady);
-  AppendLog(StrFormat("[    0.000000] sim-linux %s booted",
-                      KernelVersionName(config_.version)));
   JournalLifecycle("boot");
 }
 
@@ -126,8 +124,6 @@ void GuestVm::FinishBootTimer(EventLoop* loop, bool boot_failed,
   if (boot_failed) {
     infra_faults_.fetch_add(1, std::memory_order_relaxed);
     consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
-    AppendLog(StrFormat("[ fault  ] boot failed: %s",
-                        ExecFailureName(ExecFailure::kBootFailure)));
     set_state(VmState::kCrashed);
     JournalLifecycleAt(loop->now(), "boot-failure");
   } else {
@@ -138,8 +134,6 @@ void GuestVm::FinishBootTimer(EventLoop* loop, bool boot_failed,
       ctrl_.Recv(&frame);
     }
     set_state(VmState::kReady);
-    AppendLog(StrFormat("[    0.000000] sim-linux %s booted",
-                        KernelVersionName(config_.version)));
     JournalLifecycleAt(loop->now(), "boot");
   }
   if (done) {
@@ -167,7 +161,6 @@ bool GuestVm::StartRebootAsync(EventLoop* loop,
 
 void GuestVm::FinishRebootTimer(EventLoop* loop,
                                 std::function<void(GuestVm&)> done) {
-  AppendLog("[ reboot ] restarting crashed guest");
   JournalLifecycleAt(loop->now(), "reboot");
   set_state(VmState::kReady);
   if (m_reboots_ != nullptr) {
@@ -194,7 +187,6 @@ void GuestVm::JournalLifecycleAt(SimClock::Nanos at, const char* what) {
 ExecResult GuestVm::FailWith(ExecFailure failure) {
   infra_faults_.fetch_add(1, std::memory_order_relaxed);
   consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
-  AppendLog(StrFormat("[ fault  ] exec failed: %s", ExecFailureName(failure)));
   ExecResult result;
   result.failure = failure;
   return result;
@@ -308,7 +300,6 @@ ExecResult GuestVm::Exec(const ProgImage& image, const CallMask* keep,
   if (down()) {
     set_state(VmState::kRebooting);
     clock_->Advance(latency_.reboot);
-    AppendLog("[ reboot ] restarting crashed guest");
     JournalLifecycle("reboot");
     set_state(VmState::kReady);
     if (m_reboots_ != nullptr) {
@@ -395,7 +386,6 @@ ExecResult GuestVm::Exec(const ProgImage& image, const CallMask* keep,
   clock_->Advance(latency_.exec_overhead + latency_.per_call * kept);
   if (fault == FaultKind::kSlowVm) {
     clock_->Advance(latency_.slow_penalty);
-    AppendLog("[ fault  ] slow round trip (host contention)");
   }
   if (m_execs_ != nullptr) {
     m_execs_->Add();
@@ -407,7 +397,6 @@ ExecResult GuestVm::Exec(const ProgImage& image, const CallMask* keep,
     ctrl_.Send(CtrlFrame{CtrlKind::kCrashNotice,
                          static_cast<uint64_t>(result.crash->bug)});
     ctrl_.Recv(&frame);
-    AppendLog(StrFormat("BUG: %s", result.crash->title.c_str()));
   } else {
     set_state(VmState::kReady);
   }
@@ -423,22 +412,7 @@ void GuestVm::QuarantineReboot() {
   set_state(VmState::kRebooting);
   clock_->Advance(latency_.reboot);
   set_state(VmState::kReady);
-  AppendLog("[ monitor] quarantined guest force-rebooted");
   JournalLifecycle("quarantine-reboot");
-}
-
-std::vector<std::string> GuestVm::DrainLog() {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  std::vector<std::string> out;
-  out.swap(log_);
-  return out;
-}
-
-void GuestVm::AppendLog(std::string line) {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  if (log_.size() < 4096) {
-    log_.push_back(std::move(line));
-  }
 }
 
 }  // namespace healer

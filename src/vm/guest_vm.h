@@ -23,14 +23,14 @@
 // (StartBootAsync/StartRebootAsync) instead arms a timer on an EventLoop
 // shard and transitions when it fires, so hundreds of overlapping
 // boots/reboots cost one latency of virtual time, not their sum. Both paths
-// share the same state variable, counters, log lines and journal records.
+// share the same state variable, counters and journal records.
 //
 // A GuestVm may carry a FaultInjector (see fault_plan.h). Injected faults
 // surface as typed ExecFailure results that never carry feedback: a faulted
 // execution leaves the global coverage bitmap untouched and returns no
 // per-call results, so callers can discard it safely. Health counters
 // (consecutive failures, infra faults, quarantines) feed the recovery
-// policy and the Monitor's per-VM health report.
+// policy and the pool's per-VM health report (VmPool::HealthReport).
 //
 // The executor and the shm channel (~5 MiB together) allocate lazily on
 // first execution: a fleet of thousands of cold or boot-looping guests
@@ -52,8 +52,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/base/event_loop.h"
@@ -77,8 +75,9 @@ struct VmLatencyModel {
   SimClock::Nanos slow_penalty = 2 * SimClock::kSecond;
 };
 
-// Lifecycle states. Stored in one atomic so the Monitor, the status line
-// and the fleet freelists can classify a guest while a worker drives it.
+// Lifecycle states. Stored in one atomic so the health report, the status
+// line and the fleet freelists can classify a guest while a worker drives
+// it.
 enum class VmState : uint8_t {
   kCold = 0,     // Never booted; transports unallocated.
   kBooting,      // Boot latency in flight (async) or handshake running.
@@ -160,10 +159,6 @@ class GuestVm {
   // single-producer even in the parallel fuzzer.
   void set_journal(JournalWriter* journal) { journal_ = journal; }
 
-  // Guest console log lines accumulated since the last Drain (consumed by
-  // the Monitor's reactor timers).
-  std::vector<std::string> DrainLog();
-
   const Executor& executor() const { return EnsureExecutor(); }
   const FaultInjector& injector() const { return injector_; }
   uint64_t execs() const { return execs_.load(std::memory_order_relaxed); }
@@ -182,7 +177,6 @@ class GuestVm {
   }
 
  private:
-  void AppendLog(std::string line);
   // Journals one lifecycle transition (no-op without an attached writer).
   // Payload: a = lifetime execs, b = consecutive failures at the transition.
   // The At variant lets reactor transitions stamp the loop's virtual time
@@ -236,7 +230,7 @@ class GuestVm {
   VmLatencyModel latency_;
   FaultInjector injector_;
   std::atomic<VmState> state_{VmState::kCold};
-  // Counters are atomics so the Monitor's health poll can read them while a
+  // Counters are atomics so the health report can read them while a
   // parallel worker executes on the VM.
   std::atomic<uint64_t> execs_{0};
   std::atomic<uint64_t> crashes_{0};
@@ -247,8 +241,6 @@ class GuestVm {
   // drives the VM, like the transports.
   bool resident_ = false;
   uint64_t resident_digest_ = 0;
-  std::mutex log_mu_;  // Drained from whichever thread pumps the Monitor.
-  std::vector<std::string> log_;
   JournalWriter* journal_ = nullptr;  // Owned and flushed by the driver.
   // Telemetry handles (null when no registry was supplied). All VMs of a
   // pool share the same counters; shards keep parallel workers uncontended.

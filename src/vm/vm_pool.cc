@@ -272,87 +272,11 @@ FaultStats VmPool::InjectedStats() const {
   return stats;
 }
 
-void Monitor::Start() {
-  if (running_.exchange(true)) {
-    return;
-  }
-  timers_.assign(pool_->num_shards(), EventLoop::kInvalidTimer);
-  for (size_t s = 0; s < pool_->num_shards(); ++s) {
-    ArmShardTimer(s);
-  }
-}
-
-void Monitor::ArmShardTimer(size_t s) {
-  // Self-rescheduling drain on simulated time. It fires from whichever
-  // worker pumps the shard; a pool whose shards are never pumped (the
-  // legacy path) relies on Stop()'s final synchronous drain instead. The
-  // running_ re-check and the id store happen under mu_ so Stop() either
-  // observes the fresh id (and cancels it) or wins the race and suppresses
-  // the re-arm entirely.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!running_.load()) {
-    return;
-  }
-  timers_[s] = pool_->shard(s).ScheduleAfter(kPollPeriod, [this, s] {
-    PollShard(s);
-    ArmShardTimer(s);
-  });
-}
-
-void Monitor::Stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t s = 0; s < timers_.size(); ++s) {
-      if (timers_[s] != EventLoop::kInvalidTimer) {
-        pool_->shard(s).Cancel(timers_[s]);
-        timers_[s] = EventLoop::kInvalidTimer;
-      }
-    }
-  }
-  Poll();  // Final drain.
-}
-
-void Monitor::Poll() {
-  for (size_t i = 0; i < pool_->size(); ++i) {
-    DrainVm(i);
-  }
-}
-
-void Monitor::PollShard(size_t s) {
-  for (size_t i = 0; i < pool_->size(); ++i) {
-    if (pool_->shard_of_lane(i % pool_->num_lanes()) == s) {
-      DrainVm(i);
-    }
-  }
-}
-
-void Monitor::DrainVm(size_t index) {
-  std::vector<std::string> lines = pool_->vm(index).DrainLog();
-  if (lines.empty()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& line : lines) {
-    ++lines_collected_;
-    if (journal_.size() < 65536) {
-      journal_.push_back(std::move(line));
-    }
-  }
-}
-
-std::vector<std::string> Monitor::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return journal_;
-}
-
-std::vector<VmHealth> Monitor::HealthReport() const {
+std::vector<VmHealth> VmPool::HealthReport() const {
   std::vector<VmHealth> report;
-  report.reserve(pool_->size());
-  for (size_t i = 0; i < pool_->size(); ++i) {
-    const GuestVm& vm = pool_->vm(i);
+  report.reserve(vms_.size());
+  for (size_t i = 0; i < vms_.size(); ++i) {
+    const GuestVm& vm = *vms_[i];
     VmHealth health;
     health.index = i;
     health.execs = vm.execs();

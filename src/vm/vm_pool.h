@@ -1,5 +1,5 @@
-// VmPool + Monitor: manage a fleet of guest VMs, mirroring HEALER's
-// "background asynchronous IO" worker (Fig. 3).
+// VmPool: manages a fleet of guest VMs, mirroring HEALER's "background
+// asynchronous IO" worker (Fig. 3).
 //
 // Two topologies share one class (DESIGN.md §12):
 //
@@ -22,20 +22,16 @@
 // campaign SimClock only moves forward: a starved AcquireReady advances it
 // to the shard's next armed deadline, bridging worker time and reactor time.
 //
-// The Monitor keeps per-VM health accounting (execs, kernel crashes, infra
-// faults, quarantines) and drains guest console logs — not on a dedicated
-// thread any more, but via self-rescheduling reactor timers with a
-// SimClock-derived cadence, so log-drain ordering is a function of
-// simulated time, not host scheduling.
+// Guests report through typed results, journal records and metrics, not a
+// console log; per-VM health (execs, kernel crashes, infra faults,
+// quarantines) is a read of each guest's counters (HealthReport).
 
 #ifndef SRC_VM_VM_POOL_H_
 #define SRC_VM_VM_POOL_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/base/event_loop.h"
@@ -76,6 +72,16 @@ struct FleetShardSummary {
   size_t quarantined = 0;
   size_t timers_pending = 0;
   uint64_t events_dispatched = 0;
+};
+
+// Point-in-time health of one guest (VmPool::HealthReport).
+struct VmHealth {
+  size_t index = 0;
+  uint64_t execs = 0;
+  uint64_t kernel_crashes = 0;
+  uint64_t infra_faults = 0;
+  uint64_t consecutive_failures = 0;
+  uint64_t quarantines = 0;
 };
 
 class VmPool {
@@ -140,6 +146,10 @@ class VmPool {
   // Per-shard state census (lock-free reads of each VM's state atomic).
   std::vector<FleetShardSummary> ShardSummaries() const;
 
+  // Per-VM health accounting: reads only the guests' counter atomics, so it
+  // is safe to call while workers are executing.
+  std::vector<VmHealth> HealthReport() const;
+
   uint64_t TotalExecs() const;
   uint64_t TotalCrashes() const;
   uint64_t TotalInfraFaults() const;
@@ -182,63 +192,6 @@ class VmPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   // Shard loops, aliasing shards_[s]->loop for terse access.
   std::vector<EventLoop*> loops_;
-};
-
-// Point-in-time health of one guest, snapshotted by the Monitor.
-struct VmHealth {
-  size_t index = 0;
-  uint64_t execs = 0;
-  uint64_t kernel_crashes = 0;
-  uint64_t infra_faults = 0;
-  uint64_t consecutive_failures = 0;
-  uint64_t quarantines = 0;
-};
-
-// Console-log collector. Start() arms one self-rescheduling timer per
-// reactor shard (no dedicated thread): each firing drains that shard's VM
-// console buffers into a bounded in-memory journal that the caller can
-// snapshot. The cadence is simulated time — kPollPeriod on the shard's
-// EventLoop — so drain ordering is deterministic across hosts. Stop()
-// cancels the timers and performs a final synchronous drain, so a pool
-// whose shards were never pumped (the legacy path) still collects every
-// line by the time Stop() returns.
-class Monitor {
- public:
-  // Log-drain cadence in simulated time (DESIGN.md §12: the historical 10ms
-  // wall-clock wait_for, re-anchored onto SimClock). One simulated second
-  // keeps the relative rate of the old thread — a handful of executions
-  // (~300 sim-ms each) per drain — without scanning the fleet dozens of
-  // times per program.
-  static constexpr SimClock::Nanos kPollPeriod = SimClock::kSecond;
-
-  explicit Monitor(VmPool* pool) : pool_(pool) {}
-  ~Monitor() { Stop(); }
-
-  void Start();
-  void Stop();
-
-  // Drains every VM's console buffer synchronously (also what the per-shard
-  // timers do, one shard at a time).
-  void Poll();
-
-  std::vector<std::string> Snapshot() const;
-  size_t lines_collected() const { return lines_collected_; }
-
-  // Per-VM health accounting, safe to call while workers are executing.
-  std::vector<VmHealth> HealthReport() const;
-
- private:
-  void ArmShardTimer(size_t s);
-  // Drains the console buffers of every VM owned by shard `s`.
-  void PollShard(size_t s);
-  void DrainVm(size_t index);
-
-  VmPool* pool_;
-  std::atomic<bool> running_{false};
-  mutable std::mutex mu_;
-  std::vector<EventLoop::TimerId> timers_;  // One per shard; 0 = disarmed.
-  std::vector<std::string> journal_;
-  std::atomic<size_t> lines_collected_{0};
 };
 
 }  // namespace healer

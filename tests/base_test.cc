@@ -423,5 +423,36 @@ TEST(StringUtilTest, StrJoin) {
   EXPECT_EQ(StrJoin({}, ","), "");
 }
 
+TEST(StringUtilTest, ParseUintIsStrict) {
+  EXPECT_EQ(*ParseUint("0", 10), 0u);
+  EXPECT_EQ(*ParseUint("10", 10), 10u);
+  EXPECT_EQ(*ParseUint("65535", 65535), 65535u);
+  EXPECT_EQ(*ParseUint("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  // Above the maximum: no truncation to a smaller type.
+  EXPECT_FALSE(ParseUint("70000", 65535).ok());
+  EXPECT_FALSE(ParseUint("18446744073709551616", UINT64_MAX).ok());
+  for (const char* bad : {"", "abc", "12abc", "1.5", "-1", "+1", " 1", "1 ",
+                          "0x10", "1e3"}) {
+    EXPECT_FALSE(ParseUint(bad, UINT64_MAX).ok()) << "'" << bad << "'";
+  }
+  // The error names the value and the accepted range.
+  const Result<uint64_t> bad = ParseUint("abc", 4096);
+  EXPECT_NE(bad.status().message().find("'abc'"), std::string::npos);
+  EXPECT_NE(bad.status().message().find("[0, 4096]"), std::string::npos);
+}
+
+TEST(StringUtilTest, ParseNonNegativeRealIsStrict) {
+  EXPECT_DOUBLE_EQ(*ParseNonNegativeReal("0"), 0.0);
+  EXPECT_DOUBLE_EQ(*ParseNonNegativeReal("0.5"), 0.5);
+  EXPECT_DOUBLE_EQ(*ParseNonNegativeReal("24"), 24.0);
+  EXPECT_DOUBLE_EQ(*ParseNonNegativeReal("1e-3"), 0.001);
+  for (const char* bad : {"", "x", "1.5h", "-1", "-0.5", "+1", " 1", "inf",
+                          "nan", "1e999"}) {
+    EXPECT_FALSE(ParseNonNegativeReal(bad).ok()) << "'" << bad << "'";
+  }
+  EXPECT_NE(ParseNonNegativeReal("x").status().message().find(">= 0"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace healer

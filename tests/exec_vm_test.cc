@@ -1,6 +1,6 @@
 // Executor and VM-layer tests: per-call coverage, resource resolution,
-// out-parameter extraction, wire transport, clock/latency modelling, crash
-// reboot, monitor log collection.
+// out-parameter extraction, wire transport, clock/latency modelling and
+// crash reboot.
 
 #include <gtest/gtest.h>
 
@@ -222,7 +222,7 @@ TEST(ControlSocketTest, FifoFrames) {
   EXPECT_FALSE(sock.Recv(&frame));
 }
 
-// ---- GuestVm / VmPool / Monitor ----
+// ---- GuestVm / VmPool ----
 
 TEST(GuestVmTest, BootAndExecAdvanceClock) {
   SimClock clock;
@@ -278,32 +278,6 @@ TEST(VmPoolTest, RoundRobinAndTotals) {
   EXPECT_EQ(pool.TotalExecs(), 6u);
   EXPECT_EQ(pool.vm(0).execs(), 2u);
   EXPECT_EQ(pool.vm(2).execs(), 2u);
-}
-
-TEST(MonitorTest, CollectsBootAndCrashLogs) {
-  SimClock clock;
-  VmPool pool(BuiltinTarget(), KernelConfig::ForVersion(KernelVersion::kV5_11),
-              &clock, 2);
-  Monitor monitor(&pool);
-  Prog prog = Chain({"sync"});
-  pool.Next().Exec(prog, nullptr);
-  pool.Next().Exec(prog, nullptr);
-  monitor.Poll();
-  const auto journal = monitor.Snapshot();
-  ASSERT_EQ(journal.size(), 2u);  // One boot line per VM.
-  EXPECT_NE(journal[0].find("booted"), std::string::npos);
-}
-
-TEST(MonitorTest, BackgroundThreadDrains) {
-  SimClock clock;
-  VmPool pool(BuiltinTarget(), KernelConfig::ForVersion(KernelVersion::kV5_11),
-              &clock, 1);
-  Monitor monitor(&pool);
-  monitor.Start();
-  Prog prog = Chain({"sync"});
-  pool.vm(0).Exec(prog, nullptr);
-  monitor.Stop();  // Joins and performs a final drain.
-  EXPECT_GE(monitor.lines_collected(), 1u);
 }
 
 }  // namespace

@@ -243,17 +243,16 @@ TEST(GuestVmFaultTest, LostReplyFiresWatchdogAndTakesGuestDown) {
   ExpectChannelFault(FaultKind::kRingStall, ExecFailure::kRingStall, true);
 }
 
-// ---- Monitor health accounting ----
+// ---- Pool health accounting ----
 
 TEST(MonitorHealthTest, ReportsPerVmFaultCounters) {
   SimClock clock;
   VmPool pool(BuiltinTarget(), KernelConfig::ForVersion(KernelVersion::kV5_11),
               &clock, 2, VmLatencyModel(),
               SingleFault(FaultKind::kVmCrash), /*fault_seed=*/11);
-  Monitor monitor(&pool);
   pool.vm(0).Exec(Chain({"sync"}), nullptr);
 
-  const std::vector<VmHealth> health = monitor.HealthReport();
+  const std::vector<VmHealth> health = pool.HealthReport();
   ASSERT_EQ(health.size(), 2u);
   EXPECT_EQ(health[0].infra_faults, 1u);
   EXPECT_EQ(health[0].consecutive_failures, 1u);

@@ -266,7 +266,6 @@ TEST(ParallelFuzzTest, WorkersShareStateAndFinish) {
   EXPECT_GT(result.coverage, 100u);
   EXPECT_GT(result.corpus_size, 0u);
   EXPECT_GT(result.relations, 0u);
-  EXPECT_GT(result.monitor_lines, 0u);  // Background IO collected logs.
 }
 
 TEST(ParallelFuzzTest, HealerMinusModeHasNoRelations) {

@@ -42,7 +42,20 @@ TEST(JournalTest, RingKeepsNewestAndCountsDrops) {
     GTEST_SKIP() << "telemetry compiled out";
   }
   Journal journal(3);
-  for (uint64_t i = 0; i < 5; ++i) {
+  // Before the ring wraps, Tail(n) is the newest n of what was appended.
+  for (uint64_t i = 0; i < 2; ++i) {
+    journal.Append(JournalRecord{JournalKind::kExec, 0, i * 10, i, 0, 0, ""});
+  }
+  EXPECT_EQ(journal.dropped(), 0u);
+  std::vector<JournalRecord> early = journal.Tail(1);
+  ASSERT_EQ(early.size(), 1u);
+  EXPECT_EQ(early[0].a, 1u);
+  early = journal.Tail(5);
+  ASSERT_EQ(early.size(), 2u);
+  EXPECT_EQ(early[0].a, 0u);
+  EXPECT_EQ(early[1].a, 1u);
+  EXPECT_TRUE(journal.Tail(0).empty());
+  for (uint64_t i = 2; i < 5; ++i) {
     journal.Append(JournalRecord{JournalKind::kExec, 0, i * 10, i, 0, 0, ""});
   }
   EXPECT_EQ(journal.size(), 3u);
@@ -83,6 +96,7 @@ TEST(JournalTest, BinaryRoundTripsExactly) {
       {JournalKind::kExec, 0, 1, 2, 3, 4, ""},
       {JournalKind::kRelationLearned, 3, 500, 17, 21, 2, "open->read"},
       {JournalKind::kCrash, 1, 1000, 55, 12, 1, "null deref in sim_tcp"},
+      {JournalKind::kSpan, 2, 1500, 2500, 0, 0, "exec"},
   };
   const std::string frame = JournalRecordsToBinary(records);
   std::vector<JournalRecord> decoded;
@@ -103,10 +117,34 @@ TEST(JournalTest, BinaryDecodeIsDefensive) {
   }
   // Trailing garbage is rejected too.
   EXPECT_FALSE(JournalRecordsFromBinary(frame + "z", &out));
-  // A corrupt kind byte is rejected.
+  // A corrupt kind byte is rejected; span (8) is the last known kind.
   std::string bad_kind = frame;
   bad_kind[8] = static_cast<char>(0x7f);
   EXPECT_FALSE(JournalRecordsFromBinary(bad_kind, &out));
+  bad_kind[8] = static_cast<char>(JournalKind::kSpan);
+  EXPECT_TRUE(JournalRecordsFromBinary(bad_kind, &out));
+  bad_kind[8] = static_cast<char>(9);
+  EXPECT_FALSE(JournalRecordsFromBinary(bad_kind, &out));
+}
+
+TEST(JournalTest, ChromeJsonGolden) {
+  // A span becomes a complete event named after its detail; any other
+  // record an instant named after its kind, with its payload as args.
+  const std::vector<JournalRecord> records = {
+      {JournalKind::kSpan, 0, 1500, 2500, 0, 0, "exec"},
+      {JournalKind::kCrash, 2, 5000, 7, 3, 1, "KASAN: \"use\" in a\\b"},
+  };
+  const std::string expected =
+      "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
+      "{\"name\": \"exec\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0, "
+      "\"ts\": 1.500, \"dur\": 2.500},\n"
+      "{\"name\": \"crash\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, "
+      "\"tid\": 2, \"ts\": 5.000, \"args\": {\"a\": 7, \"b\": 3, "
+      "\"c\": 1, \"detail\": \"KASAN: \\\"use\\\" in a\\\\b\"}}\n"
+      "]}\n";
+  EXPECT_EQ(JournalRecordsToChromeJson(records), expected);
+  EXPECT_EQ(JournalRecordsToChromeJson({}),
+            "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n]}\n");
 }
 
 TEST(JournalTest, WriterStagesUntilFlush) {

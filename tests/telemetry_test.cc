@@ -1,17 +1,21 @@
 // Telemetry layer: metric registry exactness (including under threads, the
-// TSan target), histogram bucketing, Prometheus/JSON/Chrome-trace golden
-// outputs, the log sink, the live status line, and campaign-level
-// properties — counters reconcile with the campaign's own result fields and
-// snapshots are a deterministic function of (options, seed, fault_plan).
+// TSan target), histogram bucketing, Prometheus/JSON golden outputs, the
+// log sink, the live status line, and campaign-level properties — counters
+// reconcile with the campaign's own result fields and with the journal's
+// spans, and snapshots are a deterministic function of (options, seed,
+// fault_plan).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/journal.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
-#include "src/base/trace.h"
 #include "src/fuzz/campaign.h"
 #include "src/fuzz/parallel.h"
 #include "src/fuzz/report.h"
@@ -128,30 +132,6 @@ TEST(TelemetryThreadsTest, CountersExactUnder8Threads) {
   EXPECT_EQ(snap.counter("healer_threads_total"), kThreads * kPerThread);
 }
 
-TEST(TelemetryThreadsTest, TraceBufferUnderThreads) {
-  if (!kTelemetryEnabled) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
-  TraceBuffer buffer(64);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (uint64_t i = 0; i < 1000; ++i) {
-        buffer.RecordComplete("span", "test", i, 1,
-                              static_cast<uint32_t>(t));
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(buffer.size(), 64u);
-  EXPECT_EQ(buffer.dropped(), kThreads * 1000u - 64u);
-}
-
-// ---- golden outputs ----
-
 TEST(MetricsTest, PrometheusGolden) {
   if (!kTelemetryEnabled) {
     GTEST_SKIP() << "telemetry compiled out";
@@ -201,48 +181,6 @@ TEST(MetricsTest, JsonGolden) {
       "  }\n"
       "}\n";
   EXPECT_EQ(registry.ToJson(), expected);
-}
-
-TEST(TraceTest, ChromeJsonGolden) {
-  if (!kTelemetryEnabled) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
-  TraceBuffer buffer(8);
-  buffer.RecordComplete("exec", "vm", 1500, 2500);
-  buffer.RecordInstant("alpha-update", "alpha", 5000, 2);
-  const std::string expected =
-      "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
-      "{\"name\": \"exec\", \"cat\": \"vm\", \"ph\": \"X\", \"pid\": 1, "
-      "\"tid\": 0, \"ts\": 1.500, \"dur\": 2.500},\n"
-      "{\"name\": \"alpha-update\", \"cat\": \"alpha\", \"ph\": \"i\", "
-      "\"pid\": 1, \"tid\": 2, \"ts\": 5.000, \"s\": \"t\"}\n"
-      "]}\n";
-  EXPECT_EQ(buffer.ToChromeJson(), expected);
-}
-
-TEST(TraceTest, RingOverwritesOldest) {
-  if (!kTelemetryEnabled) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
-  TraceBuffer buffer(3);
-  for (uint64_t i = 0; i < 5; ++i) {
-    buffer.RecordInstant("e", "t", i * 100);
-  }
-  const std::vector<TraceEvent> events = buffer.Events();
-  ASSERT_EQ(events.size(), 3u);
-  // Oldest first: events 2, 3, 4 survive.
-  EXPECT_EQ(events[0].start, 200u);
-  EXPECT_EQ(events[1].start, 300u);
-  EXPECT_EQ(events[2].start, 400u);
-  EXPECT_EQ(buffer.dropped(), 2u);
-}
-
-TEST(TraceTest, ZeroCapacityDropsEverything) {
-  TraceBuffer buffer;  // capacity 0
-  buffer.RecordComplete("exec", "vm", 0, 10);
-  buffer.RecordInstant("x", "y", 5);
-  EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_TRUE(buffer.Events().empty());
 }
 
 // ---- log sink ----
@@ -298,6 +236,21 @@ CampaignOptions QuickOptions(uint64_t seed = 3) {
   options.sample_period = SimClock::kMinute;
   options.fault_plan = FaultPlan::Uniform(0.01);
   return options;
+}
+
+// A journal ring large enough that the campaigns below drop nothing.
+constexpr size_t kWholeJournal = 1 << 16;
+
+// Span records of `journal`, counted by name.
+std::map<std::string, uint64_t> SpanCounts(
+    const std::vector<JournalRecord>& journal) {
+  std::map<std::string, uint64_t> counts;
+  for (const JournalRecord& record : journal) {
+    if (record.kind == JournalKind::kSpan) {
+      ++counts[record.detail];
+    }
+  }
+  return counts;
 }
 
 TEST(TelemetryCampaignTest, CountersReconcileWithResult) {
@@ -362,16 +315,40 @@ TEST(TelemetryCampaignTest, SnapshotIsDeterministic) {
   if (!kTelemetryEnabled) {
     GTEST_SKIP() << "telemetry compiled out";
   }
-  CampaignOptions options = QuickOptions(11);
-  options.capture_trace = true;
-  options.trace_capacity = 1 << 12;
+  const CampaignOptions options = QuickOptions(11);
   const CampaignResult a = RunCampaign(options);
   const CampaignResult b = RunCampaign(options);
   EXPECT_EQ(a.telemetry, b.telemetry);
   EXPECT_EQ(a.telemetry.ToPrometheusText(), b.telemetry.ToPrometheusText());
-  ASSERT_EQ(a.trace_events.size(), b.trace_events.size());
-  EXPECT_TRUE(a.trace_events == b.trace_events);
-  EXPECT_FALSE(a.trace_events.empty());
+  // The journal, spans included, is simulated-time state like the rest.
+  ASSERT_EQ(a.journal.size(), b.journal.size());
+  EXPECT_TRUE(a.journal == b.journal);
+  EXPECT_GT(SpanCounts(a.journal)["exec"], 0u);
+}
+
+// Every span site reconciles with the counter that sits next to it: one
+// exec span per executed program (fuzzing and analysis, retries inside),
+// one minimize and one learn span per Algorithm 1 and 2 round, and one
+// zero-length alpha-update span per alpha change.
+TEST(TelemetryCampaignTest, SpansReconcileWithCounters) {
+  if (!kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  CampaignOptions options = QuickOptions(5);
+  options.hours = 2.0;  // Past one AlphaSchedule window of executions.
+  options.journal_capacity = kWholeJournal;
+  const CampaignResult result = RunCampaign(options);
+  ASSERT_LT(result.journal.size(), kWholeJournal);  // Nothing dropped.
+  const MetricsSnapshot& t = result.telemetry;
+  std::map<std::string, uint64_t> spans = SpanCounts(result.journal);
+  EXPECT_EQ(spans["exec"], t.counter("healer_fuzz_execs_total") +
+                               t.counter("healer_exec_analysis_total"));
+  EXPECT_EQ(spans["minimize"], t.counter("healer_minimize_rounds_total"));
+  EXPECT_EQ(spans["learn"], t.counter("healer_learn_rounds_total"));
+  EXPECT_EQ(spans["alpha-update"], t.counter("healer_alpha_updates_total"));
+  EXPECT_GT(spans["learn"], 0u);
+  EXPECT_GT(spans["alpha-update"], 0u);
+  EXPECT_EQ(spans.size(), 4u);
 }
 
 TEST(TelemetryCampaignTest, StatusLinesEmittedThroughSink) {
@@ -392,33 +369,50 @@ TEST(TelemetryCampaignTest, StatusLinesEmittedThroughSink) {
   }
 }
 
-TEST(TelemetryCampaignTest, TraceEventsSpanTheCampaign) {
+// Records land at scope exit, so one worker's journal is ordered by end
+// time: at + a for a span (a nested span closes before its parent), at for
+// every other record. A learned edge is the exception: it carries the time
+// of the probe that found it, and is committed right after its learn round,
+// so it must lie inside that round's span instead.
+TEST(TelemetryCampaignTest, JournalIsOrderedByEndTime) {
   if (!kTelemetryEnabled) {
     GTEST_SKIP() << "telemetry compiled out";
   }
   CampaignOptions options = QuickOptions(7);
-  options.capture_trace = true;
-  options.trace_capacity = 1 << 14;
+  options.journal_capacity = kWholeJournal;
   const CampaignResult result = RunCampaign(options);
-  ASSERT_FALSE(result.trace_events.empty());
-  // Spans record at scope exit, so the buffer is ordered by *end* time
-  // (nested spans close before their parent): start + duration must be
-  // non-decreasing, and every event must fit inside the campaign.
-  bool saw_exec = false;
+  ASSERT_LT(result.journal.size(), kWholeJournal);
   SimClock::Nanos last_end = 0;
-  for (const TraceEvent& event : result.trace_events) {
-    if (std::string(event.name) == "exec") {
-      saw_exec = true;
+  const JournalRecord* last_learn = nullptr;
+  size_t learned = 0;
+  for (const JournalRecord& record : result.journal) {
+    EXPECT_EQ(record.worker, 0u);
+    if (record.kind == JournalKind::kRelationLearned &&
+        record.detail != "static") {
+      ASSERT_NE(last_learn, nullptr) << record.ToJsonLine();
+      EXPECT_GE(record.at, last_learn->at) << record.ToJsonLine();
+      EXPECT_LE(record.at, last_learn->at + last_learn->a)
+          << record.ToJsonLine();
+      ++learned;
+      continue;
     }
-    const SimClock::Nanos end = event.start + event.duration;
-    EXPECT_GE(end, last_end);
+    const SimClock::Nanos end =
+        record.kind == JournalKind::kSpan ? record.at + record.a : record.at;
+    EXPECT_GE(end, last_end) << record.ToJsonLine();
     last_end = end;
+    if (record.kind == JournalKind::kSpan && record.detail == "learn") {
+      last_learn = &record;
+    }
   }
-  EXPECT_TRUE(saw_exec);
+  EXPECT_GT(learned, 0u);
+  // Every record ends inside the campaign.
   EXPECT_GT(last_end, 0u);
-  // Off by default: a plain campaign records nothing.
+  EXPECT_LE(static_cast<double>(last_end) / SimClock::kHour,
+            result.samples.back().hours);
+  // Off with the journal: a capacity-0 campaign records nothing.
   CampaignOptions plain = QuickOptions(7);
-  EXPECT_TRUE(RunCampaign(plain).trace_events.empty());
+  plain.journal_capacity = 0;
+  EXPECT_TRUE(RunCampaign(plain).journal.empty());
 }
 
 // ---- report integration ----
@@ -501,7 +495,7 @@ TEST(TelemetryParallelTest, SnapshotAndFaultStatsAgree) {
   options.num_workers = 4;
   options.total_execs = 400;
   options.fault_plan = FaultPlan::Uniform(0.01);
-  options.trace_capacity = 1 << 10;
+  options.journal_capacity = kWholeJournal;
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
   const MetricsSnapshot& t = result.telemetry;
   ASSERT_FALSE(t.empty());
@@ -513,7 +507,15 @@ TEST(TelemetryParallelTest, SnapshotAndFaultStatsAgree) {
   EXPECT_EQ(t.counter("healer_coverage_edges_total"), result.coverage);
   EXPECT_DOUBLE_EQ(t.gauge("healer_coverage_branches"),
                    static_cast<double>(result.coverage));
-  EXPECT_FALSE(result.trace_events.empty());
+  // Every worker records the same spans as the single fuzzer. (Alpha
+  // changes are one span per publish that moved alpha, not per update.)
+  ASSERT_LT(result.journal.size(), kWholeJournal);
+  std::map<std::string, uint64_t> spans = SpanCounts(result.journal);
+  EXPECT_EQ(spans["exec"], t.counter("healer_fuzz_execs_total") +
+                               t.counter("healer_exec_analysis_total"));
+  EXPECT_EQ(spans["minimize"], t.counter("healer_minimize_rounds_total"));
+  EXPECT_EQ(spans["learn"], t.counter("healer_learn_rounds_total"));
+  EXPECT_GT(spans["exec"], 0u);
 }
 
 }  // namespace

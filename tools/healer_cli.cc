@@ -12,9 +12,11 @@
 //                 [--curve] [--edges]
 //                 [--fault-rate P | --faults crash=0.01,timeout=0.005,...]
 //                 [--fault-retries N]
+//                 [--fleet-size N] [--fleet-shards S]  # reactor fleet
 //                 [--status-period SECS]   # live status line (simulated s)
 //                 [--metrics-out FILE]     # Prometheus text (.json -> JSON)
-//                 [--trace-out FILE]       # Chrome trace JSON (Perfetto)
+//                 [--trace-out FILE]       # Chrome trace JSON (Perfetto) of
+//                                          # the journal window
 //                 [--journal-out FILE]     # flight-recorder JSONL (.bin ->
 //                                          # compact binary frame)
 //                 [--journal-capacity N]   # journal ring size (0 disables)
@@ -29,6 +31,9 @@
 //                 [--rounds R] [--execs-per-round E] [--fanout F]
 //                 [--net-seed S]           # adversarial delivery shuffle
 //                 [--sequential]           # fuzz phase on one thread
+//                 [--reconcile-every K]
+//                 # Numeric values are checked strictly, and a flag the
+//                 # chosen path does not read is an error (exit 2).
 //   healer relations [--version V] [--probe]      # static (+dynamic) table
 //   healer convert HEADER_FILE                    # C header -> HealLang
 //   healer replay CORPUS_FILE [--version V]       # run saved programs
@@ -64,6 +69,7 @@
 #include "src/base/hash.h"
 #include "src/base/introspect_server.h"
 #include "src/base/journal.h"
+#include "src/base/string_util.h"
 #include "src/exec/executor.h"
 #include "src/fuzz/campaign.h"
 #include "src/fuzz/corpus_io.h"
@@ -79,10 +85,11 @@ namespace {
 
 using namespace healer;
 
+using Flags = std::map<std::string, std::string>;
+
 // Minimal flag parsing: --name value pairs after the subcommand.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int start) {
-  std::map<std::string, std::string> flags;
+Flags ParseFlags(int argc, char** argv, int start) {
+  Flags flags;
   for (int i = start; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -112,17 +119,64 @@ bool ParseFlag(const char* flag, Result<T> parsed, T* out) {
   return true;
 }
 
+// Numeric flags: --`name`'s value (`fallback` when the flag is absent)
+// through the strict parsers, so a bad value exits 2 naming the accepted
+// range instead of being read as 0 or truncated.
+template <typename T>
+bool UintFlag(const Flags& flags, const char* name, T fallback, uint64_t max,
+              T* out) {
+  auto it = flags.find(name);
+  uint64_t value = fallback;
+  if (it != flags.end() && !ParseFlag(name, ParseUint(it->second, max),
+                                      &value)) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+bool RealFlag(const Flags& flags, const char* name, double fallback,
+              double* out) {
+  auto it = flags.find(name);
+  *out = fallback;
+  return it == flags.end() ||
+         ParseFlag(name, ParseNonNegativeReal(it->second), out);
+}
+
+// A subcommand path lists the flags it reads; any other flag (a typo, or
+// one the path would silently ignore) exits 2 naming it.
+bool OnlyFlags(const Flags& flags, const char* path,
+               const std::vector<std::string_view>& accepted) {
+  for (const auto& [name, value] : flags) {
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end()) {
+      continue;
+    }
+    if (name == "__positional") {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", path,
+                   value.c_str());
+    } else {
+      std::string list;
+      for (std::string_view flag : accepted) {
+        list += list.empty() ? "--" : " --";
+        list += flag;
+      }
+      std::fprintf(stderr, "%s: unsupported flag --%s (accepted: %s)\n",
+                   path, name.c_str(), list.c_str());
+    }
+    return false;
+  }
+  return true;
+}
+
 // --tool and --version, with the defaults every subcommand uses.
-bool ParseToolFlag(const std::map<std::string, std::string>& flags,
-                   ToolKind* tool) {
+bool ParseToolFlag(const Flags& flags, ToolKind* tool) {
   auto it = flags.find("tool");
   return ParseFlag("tool",
                    ParseToolKind(it == flags.end() ? "healer" : it->second),
                    tool);
 }
 
-bool ParseVersionFlag(const std::map<std::string, std::string>& flags,
-                      KernelVersion* version) {
+bool ParseVersionFlag(const Flags& flags, KernelVersion* version) {
   auto it = flags.find("version");
   return ParseFlag(
       "version", ParseKernelVersion(it == flags.end() ? "5.11" : it->second),
@@ -138,6 +192,9 @@ std::vector<int> AllIds(const Target& target) {
 }
 
 // ---- sharded campaign (fuzz --shards N) ----
+
+// Each in-process shard is a full fuzzer and, unless --sequential, a thread.
+constexpr uint64_t kMaxShards = 256;
 
 void PrintShardedReport(const ShardedCampaignResult& result) {
   const double secs =
@@ -169,27 +226,26 @@ void PrintShardedReport(const ShardedCampaignResult& result) {
   std::printf("identities: %s\n", result.identities_ok ? "OK" : "FAILED");
 }
 
-int CmdShardedFuzz(const std::map<std::string, std::string>& flags,
-                   size_t shards) {
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
+int CmdShardedFuzz(const Flags& flags, size_t shards) {
+  if (!OnlyFlags(flags, "fuzz --shards",
+                 {"shards", "rounds", "execs-per-round", "fanout", "seed",
+                  "net-seed", "sequential", "reconcile-every", "tool",
+                  "version"})) {
+    return 2;
+  }
   ShardedCampaignOptions options;
   options.shards = shards;
-  options.rounds = static_cast<size_t>(
-      std::strtoull(get("rounds", "8").c_str(), nullptr, 10));
-  options.execs_per_round = static_cast<size_t>(
-      std::strtoull(get("execs-per-round", "128").c_str(), nullptr, 10));
-  options.fanout = static_cast<size_t>(
-      std::strtoull(get("fanout", "1").c_str(), nullptr, 10));
-  options.seed = std::strtoull(get("seed", "1").c_str(), nullptr, 10);
-  options.net_seed =
-      std::strtoull(get("net-seed", "0").c_str(), nullptr, 10);
   options.use_threads = flags.count("sequential") == 0;
-  options.reconcile_every = static_cast<size_t>(
-      std::strtoull(get("reconcile-every", "4").c_str(), nullptr, 10));
-  if (!ParseToolFlag(flags, &options.base.tool) ||
+  if (!UintFlag(flags, "rounds", size_t{8}, 1 << 20, &options.rounds) ||
+      !UintFlag(flags, "execs-per-round", size_t{128}, 1 << 30,
+                &options.execs_per_round) ||
+      !UintFlag(flags, "fanout", size_t{1}, kMaxShards, &options.fanout) ||
+      !UintFlag(flags, "seed", uint64_t{1}, UINT64_MAX, &options.seed) ||
+      !UintFlag(flags, "net-seed", uint64_t{0}, UINT64_MAX,
+                &options.net_seed) ||
+      !UintFlag(flags, "reconcile-every", size_t{4}, 1 << 20,
+                &options.reconcile_every) ||
+      !ParseToolFlag(flags, &options.base.tool) ||
       !ParseVersionFlag(flags, &options.base.version)) {
     return 2;
   }
@@ -254,7 +310,7 @@ bool WaitReadFile(const std::string& path, double timeout_secs,
   }
 }
 
-int CmdShard(const std::map<std::string, std::string>& flags) {
+int CmdShard(const Flags& flags) {
   auto get = [&](const char* name, const char* fallback) {
     auto it = flags.find(name);
     return it == flags.end() ? std::string(fallback) : it->second;
@@ -366,7 +422,7 @@ int CmdShard(const std::map<std::string, std::string>& flags) {
   return identity_ok ? 0 : 1;
 }
 
-int CmdReconcile(const std::map<std::string, std::string>& flags) {
+int CmdReconcile(const Flags& flags) {
   auto get = [&](const char* name, const char* fallback) {
     auto it = flags.find(name);
     return it == flags.end() ? std::string(fallback) : it->second;
@@ -422,25 +478,35 @@ int CmdReconcile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdFuzz(const std::map<std::string, std::string>& flags) {
+int CmdFuzz(const Flags& flags) {
+  size_t shards = 1;
+  if (!UintFlag(flags, "shards", size_t{1}, kMaxShards, &shards)) {
+    return 2;
+  }
+  if (shards > 1) {
+    return CmdShardedFuzz(flags, shards);
+  }
+  if (!OnlyFlags(flags, "fuzz",
+                 {"shards", "tool", "version", "hours", "seed", "corpus-in",
+                  "corpus-out", "corpus-format", "relations-in",
+                  "relations-out", "curve", "edges", "fault-rate", "faults",
+                  "fault-retries", "fleet-size", "fleet-shards",
+                  "status-period", "metrics-out", "trace-out", "journal-out",
+                  "journal-capacity", "postmortem-dir", "http-port",
+                  "serve-secs"})) {
+    return 2;
+  }
   CampaignOptions options;
   auto get = [&](const char* name, const char* fallback) {
     auto it = flags.find(name);
     return it == flags.end() ? std::string(fallback) : it->second;
   };
-  {
-    const size_t shards = static_cast<size_t>(
-        std::strtoull(get("shards", "1").c_str(), nullptr, 10));
-    if (shards > 1) {
-      return CmdShardedFuzz(flags, shards);
-    }
-  }
   if (!ParseToolFlag(flags, &options.tool) ||
-      !ParseVersionFlag(flags, &options.version)) {
+      !ParseVersionFlag(flags, &options.version) ||
+      !RealFlag(flags, "hours", 4.0, &options.hours) ||
+      !UintFlag(flags, "seed", uint64_t{1}, UINT64_MAX, &options.seed)) {
     return 2;
   }
-  options.hours = std::atof(get("hours", "4").c_str());
-  options.seed = std::strtoull(get("seed", "1").c_str(), nullptr, 10);
   options.initial_corpus_path = get("corpus-in", "");
   options.save_corpus_path = get("corpus-out", "");
   {
@@ -476,32 +542,55 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
     }
     options.fault_plan = *plan;
   }
-  options.recovery.max_retries =
-      std::atoi(get("fault-retries", "3").c_str());
+  // The retry backoff doubles per retry; 30 keeps it far from overflow.
+  if (!UintFlag(flags, "fault-retries", 3, 30,
+                &options.recovery.max_retries)) {
+    return 2;
+  }
 
   // Fleet topology: --fleet-size N simulates N guests on the reactor
   // shards (0 = legacy pinned pool); --fleet-shards overrides the
   // auto-derived shard count (fleet_size / 256).
-  options.fleet_size = static_cast<size_t>(
-      std::strtoull(get("fleet-size", "0").c_str(), nullptr, 10));
-  options.fleet_shards = static_cast<size_t>(
-      std::strtoull(get("fleet-shards", "0").c_str(), nullptr, 10));
+  if (!UintFlag(flags, "fleet-size", size_t{0}, 1 << 16,
+                &options.fleet_size) ||
+      !UintFlag(flags, "fleet-shards", size_t{0}, 1 << 16,
+                &options.fleet_shards)) {
+    return 2;
+  }
 
-  // Telemetry surfaces: live status, metric dump, span trace.
-  const double status_secs = std::atof(get("status-period", "0").c_str());
+  // Telemetry surfaces: live status, metric dump, and the Chrome trace,
+  // which renders the journal window.
+  double status_secs = 0.0;
+  if (!RealFlag(flags, "status-period", 0.0, &status_secs)) {
+    return 2;
+  }
   if (status_secs > 0) {
     options.status_period = static_cast<SimClock::Nanos>(
         status_secs * static_cast<double>(SimClock::kSecond));
   }
   const std::string metrics_out = get("metrics-out", "");
   const std::string trace_out = get("trace-out", "");
-  options.capture_trace = !trace_out.empty();
 
-  // Flight recorder and crash postmortems.
+  // Flight recorder and crash postmortems. Every slot of the ring is
+  // constructed upfront, which bounds the capacity.
   const std::string journal_out = get("journal-out", "");
-  options.journal_capacity = static_cast<size_t>(
-      std::strtoull(get("journal-capacity", "4096").c_str(), nullptr, 10));
+  if (!UintFlag(flags, "journal-capacity", size_t{4096}, 1 << 24,
+                &options.journal_capacity)) {
+    return 2;
+  }
+  if (!trace_out.empty() && options.journal_capacity == 0) {
+    std::fprintf(stderr,
+                 "--trace-out renders the journal: it needs "
+                 "--journal-capacity > 0\n");
+    return 2;
+  }
   options.postmortem_dir = get("postmortem-dir", "");
+  uint16_t http_port = 0;
+  double serve_secs = 0.0;
+  if (!UintFlag(flags, "http-port", uint16_t{0}, 65535, &http_port) ||
+      !RealFlag(flags, "serve-secs", 0.0, &serve_secs)) {
+    return 2;
+  }
 
   // Live introspection: --http-port binds a localhost-only HTTP server
   // (port 0 picks an ephemeral one; the bound port goes to stderr so
@@ -509,11 +598,10 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
   // at every sample point; the server answers from them off the hot path.
   IntrospectionHub hub;
   IntrospectServer server(&hub);
-  const std::string http_port = get("http-port", "");
-  if (!http_port.empty()) {
-    if (!server.Start(static_cast<uint16_t>(std::atoi(http_port.c_str())))) {
-      std::fprintf(stderr, "cannot bind introspection server (port %s)\n",
-                   http_port.c_str());
+  if (flags.count("http-port") != 0) {
+    if (!server.Start(http_port)) {
+      std::fprintf(stderr, "cannot bind introspection server (port %u)\n",
+                   static_cast<unsigned>(http_port));
       return 1;
     }
     std::fprintf(stderr, "introspection server listening on 127.0.0.1:%u\n",
@@ -548,7 +636,7 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
       std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
       return 1;
     }
-    out << TraceEventsToChromeJson(result.trace_events);
+    out << JournalRecordsToChromeJson(result.journal);
   }
   if (!journal_out.empty()) {
     // A .bin suffix selects the compact binary frame; anything else JSONL.
@@ -564,7 +652,6 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
                 : JournalRecordsToJsonl(result.journal));
   }
   if (server.running()) {
-    const double serve_secs = std::atof(get("serve-secs", "0").c_str());
     if (serve_secs > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(serve_secs));
@@ -574,7 +661,7 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdRelations(const std::map<std::string, std::string>& flags) {
+int CmdRelations(const Flags& flags) {
   KernelVersion version;
   if (!ParseVersionFlag(flags, &version)) {
     return 2;
@@ -606,7 +693,7 @@ int CmdRelations(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdConvert(const std::map<std::string, std::string>& flags) {
+int CmdConvert(const Flags& flags) {
   auto it = flags.find("__positional");
   if (it == flags.end()) {
     std::fprintf(stderr, "usage: healer convert HEADER_FILE\n");
@@ -629,7 +716,7 @@ int CmdConvert(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdReplay(const std::map<std::string, std::string>& flags) {
+int CmdReplay(const Flags& flags) {
   auto it = flags.find("__positional");
   if (it == flags.end()) {
     std::fprintf(stderr, "usage: healer replay CORPUS_FILE [--version V]\n");
@@ -663,7 +750,7 @@ int CmdReplay(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdBugs(const std::map<std::string, std::string>& flags) {
+int CmdBugs(const Flags& flags) {
   KernelVersion version;
   if (!ParseVersionFlag(flags, &version)) {
     return 2;
