@@ -1,7 +1,5 @@
 #include "src/base/journal.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cstring>
 #include <limits>
@@ -138,32 +136,18 @@ std::string JournalRecord::ToJsonLine() const {
   return out;
 }
 
-Journal::Journal(size_t capacity) : capacity_(capacity) {
-  if (!enabled()) {
-    capacity_ = 0;
-    return;
-  }
-  // Slot storage comes straight from the kernel, bypassing malloc: see the
-  // class comment. Pages are zero-filled lazily, so an oversized capacity
-  // costs address space, not resident memory, until the ring fills.
-  void* mem = mmap(nullptr, capacity_ * sizeof(JournalRecord),
-                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) {
+Journal::Journal(size_t capacity)
+    : capacity_(kTelemetryEnabled ? capacity : 0),
+      ring_(capacity_ * sizeof(JournalRecord), std::nothrow),
+      slots_(reinterpret_cast<JournalRecord*>(ring_.data())) {
+  if (slots_ == nullptr) {
     capacity_ = 0;  // Degrade to a disabled journal rather than crash.
-    return;
-  }
-  slots_ = static_cast<JournalRecord*>(mem);
-  for (size_t i = 0; i < capacity_; ++i) {
-    new (&slots_[i]) JournalRecord();
   }
 }
 
 Journal::~Journal() {
-  if (slots_ != nullptr) {
-    for (size_t i = 0; i < capacity_; ++i) {
-      slots_[i].~JournalRecord();
-    }
-    munmap(slots_, capacity_ * sizeof(JournalRecord));
+  for (size_t i = 0; i < size_; ++i) {
+    slots_[i].~JournalRecord();
   }
 }
 
@@ -187,10 +171,12 @@ void Journal::AppendBatch(std::vector<JournalRecord>* records) {
   records->clear();
 }
 
-void Journal::Push(JournalRecord record) {
+void Journal::Push(JournalRecord&& record) {
   ++total_;
   if (size_ < capacity_) {
-    slots_[size_++] = std::move(record);
+    // A slot is built the first time the ring reaches it, so only written
+    // slots touch their pages.
+    new (&slots_[size_++]) JournalRecord(std::move(record));
     return;
   }
   slots_[next_] = std::move(record);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/base/metrics.h"
+#include "src/base/page_mapping.h"
 #include "src/base/sim_clock.h"
 
 namespace healer {
@@ -73,13 +74,15 @@ struct JournalRecord {
 // move); the parallel hot path never calls it directly — workers buffer in a
 // JournalWriter and flush a whole batch under one acquire at publish time.
 //
-// The ring slots live in a dedicated mmap'd region, not on the heap. This
+// The ring slots live in a dedicated page mapping, not on the heap. This
 // matters more than it looks: a malloc'd multi-hundred-KB ring crosses
 // glibc's adaptive mmap threshold, and repeatedly allocating/freeing it
 // (one ring per campaign) retunes that threshold and fragments the main
 // arena — measured as a double-digit percent slowdown of the *fuzzing*
 // hot path, whose small allocations share the arena. A flight recorder
-// must not perturb the flight.
+// must not perturb the flight. Each slot is built when the first record
+// reaches it, so an oversized capacity costs address space, not resident
+// memory, until records fill it.
 class Journal {
  public:
   // capacity == 0 disables recording (records are counted as dropped), as
@@ -111,14 +114,14 @@ class Journal {
   std::string ToJsonl(size_t n = 0) const;
 
  private:
-  void Push(JournalRecord record);
+  void Push(JournalRecord&& record);
 
   mutable std::mutex mu_;
   size_t capacity_;
-  // mmap'd slot array, all capacity_ records default-constructed upfront
-  // (empty details, no heap). size_ counts live records; next_ is the
-  // overwrite position once the ring is full.
-  JournalRecord* slots_ = nullptr;
+  // The slot array: slots [0, size_) hold live records, the rest are raw
+  // pages. next_ is the overwrite position once the ring is full.
+  PageMapping ring_;
+  JournalRecord* slots_;
   size_t size_ = 0;
   size_t next_ = 0;
   uint64_t total_ = 0;  // Total records ever appended.

@@ -12,16 +12,19 @@
 #include <vector>
 
 #include "src/base/metrics.h"
+#include "src/base/page_mapping.h"
 
 namespace healer {
 
 // The shared-memory data plane. One in-flight program at a time, like the
-// paper's per-VM region.
+// paper's per-VM region. The region is a demand-zero mapping: a fresh one
+// reads as an empty program, and only the pages requests reach become
+// resident.
 class ShmChannel {
  public:
   static constexpr size_t kSize = 1 << 20;
 
-  ShmChannel() : region_(kSize, 0) {}
+  ShmChannel() : region_(kSize) {}
 
   // Copies a serialized program into the region. False when it won't fit.
   bool WriteProg(const std::vector<uint8_t>& bytes) {
@@ -51,7 +54,7 @@ class ShmChannel {
   uint8_t* raw() { return region_.data(); }
 
  private:
-  std::vector<uint8_t> region_;
+  PageMapping region_;
 };
 
 // The control plane: an in-memory duplex frame queue standing in for the

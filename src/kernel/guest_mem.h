@@ -9,7 +9,10 @@
 //
 // GuestMem is pooled by the executor and reset between programs; Reset()
 // clears only the high-water-marked region, keeping per-program cost
-// proportional to actual usage.
+// proportional to actual usage. The data window is a demand-zero mapping
+// (PageMapping): a fresh window reads as zero and only the pages programs
+// touch become resident, so a guest pays for its programs' footprint, not
+// for the window's 2 MiB.
 
 #ifndef SRC_KERNEL_GUEST_MEM_H_
 #define SRC_KERNEL_GUEST_MEM_H_
@@ -18,7 +21,8 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
+
+#include "src/base/page_mapping.h"
 
 namespace healer {
 
@@ -33,7 +37,7 @@ class GuestMem {
   static constexpr uint64_t kVmaSize = 16 << 20;
   static constexpr uint64_t kVmaPages = kVmaSize / kPageSize;
 
-  GuestMem() : data_(kDataSize, 0) {}
+  GuestMem() : data_(kDataSize) {}
 
   // Restores the pristine state between programs (clears only used bytes).
   void Reset() {
@@ -118,7 +122,7 @@ class GuestMem {
     return nullptr;
   }
 
-  std::vector<uint8_t> data_;
+  PageMapping data_;
   uint64_t brk_ = 0;
 };
 

@@ -204,6 +204,11 @@ TEST(ShmChannelTest, CarriesProgBytes) {
             bytes);
 }
 
+TEST(ShmChannelTest, FreshRegionHoldsEmptyProg) {
+  ShmChannel shm;
+  EXPECT_EQ(shm.prog_size(), 0u);
+}
+
 TEST(ShmChannelTest, RejectsOversizedProg) {
   ShmChannel shm;
   std::vector<uint8_t> huge(ShmChannel::kSize, 0);

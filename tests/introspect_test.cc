@@ -28,6 +28,7 @@
 #include "src/fuzz/parallel.h"
 #include "src/fuzz/postmortem.h"
 #include "src/syzlang/builtin_descs.h"
+#include "tests/test_util.h"
 
 namespace healer {
 namespace {
@@ -69,6 +70,23 @@ TEST(JournalTest, RingKeepsNewestAndCountsDrops) {
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0].a, 3u);
   EXPECT_EQ(tail[1].a, 4u);
+}
+
+TEST(JournalTest, OversizedRingCostsAddressSpaceNotResidentMemory) {
+  if (!kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  const uint64_t before = ResidentBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "/proc/self/statm unreadable";
+  }
+  // ~72 MB of slots: building them all up front would touch every page.
+  Journal journal(1 << 20);
+  ASSERT_TRUE(journal.enabled());
+  const uint64_t after = ResidentBytes();
+  EXPECT_LT(after, before + (8u << 20));
+  journal.Append(JournalRecord{JournalKind::kExec, 0, 1, 2, 3, 4, "x"});
+  EXPECT_EQ(journal.Records().size(), 1u);
 }
 
 TEST(JournalTest, ZeroCapacityDropsBeforeLocking) {

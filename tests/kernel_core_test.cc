@@ -71,6 +71,17 @@ TEST(GuestMemTest, ReadStringFailsUnterminated) {
   EXPECT_FALSE(mem.ReadString(addr, 4, &out));
 }
 
+TEST(GuestMemTest, FreshWindowReadsZero) {
+  GuestMem mem;
+  uint64_t first = 1;
+  uint64_t last = 1;
+  ASSERT_TRUE(mem.Read64(GuestMem::kDataBase, &first));
+  ASSERT_TRUE(
+      mem.Read64(GuestMem::kDataBase + GuestMem::kDataSize - 8, &last));
+  EXPECT_EQ(first, 0u);
+  EXPECT_EQ(last, 0u);
+}
+
 TEST(GuestMemTest, ExhaustionReturnsZero) {
   GuestMem mem;
   EXPECT_EQ(mem.AllocData(GuestMem::kDataSize + 8), 0u);
@@ -121,6 +132,23 @@ TEST(CoverageTest, ResetClearsState) {
   EXPECT_EQ(cov.NumEdges(), 0u);
   cov.HitBlock(7);
   EXPECT_EQ(cov.signal(), sig1);  // Deterministic after reset.
+  // The re-hit edge counts again: Reset cleared its bit, not just the list.
+  EXPECT_EQ(cov.NumEdges(), 1u);
+  ASSERT_EQ(cov.slots().size(), 1u);
+  const uint32_t first = cov.slots()[0];
+
+  // Within one call a repeated edge counts once, and slots keep first-hit
+  // order: blocks 7 3 7 walk 0->7, 7->3 and 3->7; a further 3 repeats 7->3.
+  cov.Reset();
+  for (const uint32_t block : {7u, 3u, 7u}) {
+    cov.HitBlock(block);
+  }
+  const std::vector<uint32_t> three = cov.slots();
+  ASSERT_EQ(three.size(), 3u);
+  EXPECT_EQ(three[0], first);
+  cov.HitBlock(3);
+  EXPECT_EQ(cov.NumEdges(), 3u);
+  EXPECT_EQ(cov.slots(), three);
 }
 
 TEST(CoverageTest, SiteIdsStable) {

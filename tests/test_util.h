@@ -3,7 +3,11 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -12,6 +16,18 @@
 #include "src/syzlang/builtin_descs.h"
 
 namespace healer {
+
+// This process's resident set in bytes, from /proc/self/statm; 0 when that
+// cannot be read, so footprint tests can skip.
+inline uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) {
+    return 0;
+  }
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
 
 // Drives a Kernel directly by syscall name, with helpers for staging
 // argument data in guest memory. Gives subsystem tests precise control over
