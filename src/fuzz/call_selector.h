@@ -8,10 +8,10 @@
 // Select runs against the table's immutable RelationSnapshot (CSR rows):
 // the steady-state hot path performs no mutex acquisition (one relaxed
 // epoch probe per pick) and no heap allocation (the candidate accumulator
-// is a flat epoch-stamped count array — the CallCoverage::Reset trick — and
-// the pick buffers are reserved once in the constructor). Candidates are
-// ranked in ascending syscall-id order, so picks are draw-for-draw
-// identical to the original std::map-based implementation.
+// is a flat epoch-stamped count array, and the pick buffers are reserved
+// once in the constructor). Candidates are ranked in ascending syscall-id
+// order, so picks are draw-for-draw identical to the original
+// std::map-based implementation.
 
 #ifndef SRC_FUZZ_CALL_SELECTOR_H_
 #define SRC_FUZZ_CALL_SELECTOR_H_

@@ -10,16 +10,16 @@
 // Edges are (previous block, block) pairs hashed into a 2^16-slot space,
 // mirroring AFL/syzkaller branch signal.
 //
-// The per-call map is epoch-stamped rather than a bitmap: arming a fresh
-// call (Reset) just bumps the epoch instead of memsetting 8 KB, and the
-// slots touched by the call are kept in a dense vector so the campaign
-// merge walks only the edges actually hit (typically dozens) instead of
-// the whole map. The one real clear happens on 32-bit epoch wraparound.
+// The per-call map is an 8 KiB bitmap, and the slots a call touches are
+// also kept in a dense vector in first-hit order. The campaign merge walks
+// only those slots (typically dozens) instead of the whole map, and arming
+// the next call (Reset) clears only their words, so neither costs map-size
+// work.
 
 #ifndef SRC_KERNEL_COVERAGE_H_
 #define SRC_KERNEL_COVERAGE_H_
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,14 +39,13 @@ class CallCoverage {
  public:
   static constexpr size_t kMapBits = 1 << 16;
 
-  CallCoverage() : slot_epoch_(kMapBits, 0) { slots_.reserve(256); }
+  CallCoverage() { slots_.reserve(256); }
 
-  // Begins collection for a new call. O(1): bumping the epoch invalidates
-  // every stamp at once; only a wrapped epoch pays for a real clear.
+  // Begins collection for a new call, clearing the words of the slots the
+  // last one hit: O(edges hit), not O(map).
   void Reset() {
-    if (++epoch_ == 0) {
-      std::fill(slot_epoch_.begin(), slot_epoch_.end(), 0u);
-      epoch_ = 1;
+    for (const uint32_t slot : slots_) {
+      bits_[slot >> 6] = 0;
     }
     slots_.clear();
     prev_block_ = 0;
@@ -58,8 +57,10 @@ class CallCoverage {
     const uint64_t edge = Mix64((static_cast<uint64_t>(prev_block_) << 32) |
                                 static_cast<uint64_t>(block));
     const uint32_t slot = static_cast<uint32_t>(edge & (kMapBits - 1));
-    if (slot_epoch_[slot] != epoch_) {
-      slot_epoch_[slot] = epoch_;
+    uint64_t& word = bits_[slot >> 6];
+    const uint64_t bit = uint64_t{1} << (slot & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
       slots_.push_back(slot);
     }
     // Order-independent accumulator so equal edge sets hash equal.
@@ -76,9 +77,8 @@ class CallCoverage {
   uint64_t signal() const { return signal_; }
 
  private:
-  std::vector<uint32_t> slot_epoch_;
+  std::array<uint64_t, kMapBits / 64> bits_{};
   std::vector<uint32_t> slots_;
-  uint32_t epoch_ = 1;
   uint32_t prev_block_ = 0;
   uint64_t signal_ = 0;
 };
