@@ -1,6 +1,7 @@
 #include "src/exec/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/logging.h"
 #include "src/kernel/errno.h"
@@ -20,17 +21,31 @@ uint64_t SpecialValueOf(const Type* type) {
 
 }  // namespace
 
-Executor::Executor(const Target& target, const KernelConfig& config)
-    : target_(target), config_(config), slot_table_(target) {
-  handlers_.resize(target.NumSyscalls(), nullptr);
+ExecTables::ExecTables(const Target& target, const KernelConfig& config)
+    : handlers(target.NumSyscalls(), nullptr), slots(target) {
   for (const auto& call : target.syscalls()) {
     const SyscallDef* def = FindSyscallDef(call->name);
-    if (def != nullptr && SyscallAvailable(*def, config_)) {
-      handlers_[static_cast<size_t>(call->id)] = def;
-      enabled_syscalls_.push_back(call->id);
+    if (def != nullptr && SyscallAvailable(*def, config)) {
+      handlers[static_cast<size_t>(call->id)] = def;
+      enabled.push_back(call->id);
     }
   }
 }
+
+const std::shared_ptr<const ExecTables>& SharedExecTables::Get() const {
+  std::call_once(built_, [this] {
+    tables_ = std::make_shared<const ExecTables>(target_, config_);
+  });
+  return tables_;
+}
+
+Executor::Executor(const Target& target, const KernelConfig& config)
+    : Executor(target, config,
+               std::make_shared<const ExecTables>(target, config)) {}
+
+Executor::Executor(const Target& target, const KernelConfig& config,
+                   std::shared_ptr<const ExecTables> tables)
+    : target_(target), config_(config), tables_(std::move(tables)) {}
 
 uint64_t Executor::ResolveResource(
     const ImageArg& arg, const std::vector<CallExecInfo>& done) const {
@@ -193,7 +208,8 @@ ExecResult Executor::Replay(const uint8_t* keep, Bitmap* global_coverage) {
     const size_t at = static_cast<size_t>(pos_[ci]);
     const ImageCall& call = calls[ci];
     CallExecInfo& info = result.calls[at];
-    const SyscallDef* def = handlers_[static_cast<size_t>(call.meta->id)];
+    const SyscallDef* def =
+        tables_->handlers[static_cast<size_t>(call.meta->id)];
 
     // Evaluate arguments (allocates and fills guest memory); the evaluated
     // words double as the top-level pointer values for out-extraction.
@@ -231,7 +247,7 @@ ExecResult Executor::Replay(const uint8_t* keep, Bitmap* global_coverage) {
 
     // Result slots: slot 0 is the return value; out-parameter resources
     // are read back from guest memory.
-    const auto& slots = slot_table_.of(call.meta->id);
+    const auto& slots = tables_->slots.of(call.meta->id);
     if (!slots.empty()) {
       size_t max_slot = 0;
       for (const auto& slot : slots) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -30,11 +31,43 @@
 
 namespace healer {
 
+// What executors read and never write, the same for every executor of one
+// (target, kernel config): each syscall id's handler (nullptr => ENOSYS in
+// the configured kernel), the enabled ids in id order, and each syscall's
+// result slots, which the per-call extraction borrows instead of
+// re-walking argument trees every execution.
+struct ExecTables {
+  ExecTables(const Target& target, const KernelConfig& config);
+
+  std::vector<const SyscallDef*> handlers;
+  std::vector<int> enabled;
+  ResultSlotTable slots;
+};
+
+// One ExecTables for every guest of a pool, built by the first Get() (from
+// any thread), so a pool whose guests never execute never builds it.
+class SharedExecTables {
+ public:
+  // `target` must outlive the tables.
+  SharedExecTables(const Target& target, const KernelConfig& config)
+      : target_(target), config_(config) {}
+
+  const std::shared_ptr<const ExecTables>& Get() const;
+
+ private:
+  const Target& target_;
+  const KernelConfig config_;
+  mutable std::once_flag built_;
+  mutable std::shared_ptr<const ExecTables> tables_;
+};
+
 class Executor {
  public:
-  // `target` must outlive the executor. The handler table is resolved once:
-  // syscall id -> SyscallDef (nullptr => ENOSYS in the configured kernel).
+  // `target` must outlive the executor. Builds the executor's own tables.
   Executor(const Target& target, const KernelConfig& config);
+  // Borrows `tables`, which were built for the same target and config.
+  Executor(const Target& target, const KernelConfig& config,
+           std::shared_ptr<const ExecTables> tables);
 
   // Runs `prog` against a fresh kernel. If `global_coverage` is non-null,
   // per-call edges are merged into it and CallExecInfo::new_edges reports
@@ -60,10 +93,10 @@ class Executor {
 
   // Ids of syscalls available in this kernel configuration.
   const std::vector<int>& enabled_syscalls() const {
-    return enabled_syscalls_;
+    return tables_->enabled;
   }
   bool SyscallEnabled(int id) const {
-    return handlers_[static_cast<size_t>(id)] != nullptr;
+    return tables_->handlers[static_cast<size_t>(id)] != nullptr;
   }
 
   const KernelConfig& config() const { return config_; }
@@ -96,11 +129,7 @@ class Executor {
 
   const Target& target_;
   KernelConfig config_;
-  // Result slots precomputed per syscall id; the per-call extraction loop
-  // borrows them instead of re-walking argument trees every execution.
-  ResultSlotTable slot_table_;
-  std::vector<const SyscallDef*> handlers_;
-  std::vector<int> enabled_syscalls_;
+  std::shared_ptr<const ExecTables> tables_;
   CallCoverage cov_;
   GuestMem mem_;  // Pooled across programs; Reset() per Run.
   // Per-run scratch: each call's index among the kept calls (-1: dropped),

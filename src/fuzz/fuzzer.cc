@@ -52,18 +52,6 @@ const char* GuidanceModeName(GuidanceMode mode) {
 
 namespace {
 
-std::vector<int> EnabledSyscalls(const Target& target,
-                                 const KernelConfig& config) {
-  std::vector<int> enabled;
-  for (const auto& call : target.syscalls()) {
-    const SyscallDef* def = FindSyscallDef(call->name);
-    if (def != nullptr && SyscallAvailable(*def, config)) {
-      enabled.push_back(call->id);
-    }
-  }
-  return enabled;
-}
-
 PoolShape FuzzerPool(const FuzzerOptions& options) {
   return ShapePool(options.num_vms, options.fleet_size, options.fleet_shards);
 }
@@ -83,9 +71,10 @@ void JournalLearnedEdges(const Target& target, const RelationDelta& delta,
 
 // ---- FuzzLoop ----
 
-FuzzLoop::FuzzLoop(const Target& target, const FuzzerOptions& options,
-                   FuzzState* state, RelationTable* relations,
-                   Bitmap* coverage, SimClock* clock, MetricRegistry* metrics,
+FuzzLoop::FuzzLoop(const Target& target, const std::vector<int>& enabled,
+                   const FuzzerOptions& options, FuzzState* state,
+                   RelationTable* relations, Bitmap* coverage,
+                   SimClock* clock, MetricRegistry* metrics,
                    JournalWriter* journal)
     : target_(target),
       options_(options),
@@ -95,10 +84,7 @@ FuzzLoop::FuzzLoop(const Target& target, const FuzzerOptions& options,
       journal_(journal),
       m_(metrics),
       rng_(options.seed),
-      builder_(target,
-               EnabledSyscalls(target,
-                               KernelConfig::ForVersion(options.version)),
-               &rng_),
+      builder_(target, enabled, &rng_),
       selector_(relations, builder_.enabled(), &rng_),
       minimizer_(AnalysisExec()),
       learner_(relations, AnalysisExec(), clock),
@@ -374,8 +360,8 @@ Fuzzer::Fuzzer(const Target& target, FuzzerOptions options)
             options.seed, &metrics_, FuzzerPool(options).fleet),
       coverage_(CallCoverage::kMapBits),
       relations_(std::make_unique<RelationTable>(target.NumSyscalls())),
-      loop_(target, options_, this, relations_.get(), &coverage_, &clock_,
-            &metrics_, &journal_writer_) {
+      loop_(target, pool_.tables().enabled, options_, this, relations_.get(),
+            &coverage_, &clock_, &metrics_, &journal_writer_) {
   for (size_t i = 0; i < pool_.size(); ++i) {
     pool_.vm(i).set_journal(&journal_writer_);
   }

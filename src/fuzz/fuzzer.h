@@ -142,9 +142,12 @@ class FuzzState {
 // (seeding runs before fuzzing starts).
 class FuzzLoop {
  public:
-  FuzzLoop(const Target& target, const FuzzerOptions& options,
-           FuzzState* state, RelationTable* relations, Bitmap* coverage,
-           SimClock* clock, MetricRegistry* metrics, JournalWriter* journal);
+  // `enabled` lists the syscall ids the guests' kernel implements (the
+  // pool's ExecTables::enabled); programs are built from those only.
+  FuzzLoop(const Target& target, const std::vector<int>& enabled,
+           const FuzzerOptions& options, FuzzState* state,
+           RelationTable* relations, Bitmap* coverage, SimClock* clock,
+           MetricRegistry* metrics, JournalWriter* journal);
   // The analysis callbacks hold `this`.
   FuzzLoop(const FuzzLoop&) = delete;
   FuzzLoop& operator=(const FuzzLoop&) = delete;

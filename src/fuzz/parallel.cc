@@ -78,8 +78,9 @@ class Worker final : private FuzzState {
         m_(&shared->metrics),
         pm_(&shared->metrics),
         jw_(&shared->journal, static_cast<uint32_t>(index)),
-        loop_(target, WorkerOptions(options, index), this, &shared->relations,
-              &shared->coverage, clock, &shared->metrics, &jw_) {}
+        loop_(target, pool->tables().enabled, WorkerOptions(options, index),
+              this, &shared->relations, &shared->coverage, clock,
+              &shared->metrics, &jw_) {}
 
   // Moonshine's distilled seeds, run once before the first ticket; their
   // feedback is published before any worker starts.

@@ -29,9 +29,10 @@ const char* VmStateName(VmState state) {
 GuestVm::GuestVm(const Target& target, const KernelConfig& config,
                  SimClock* clock, VmLatencyModel latency,
                  const FaultPlan& fault_plan, uint64_t fault_seed,
-                 MetricRegistry* metrics)
+                 MetricRegistry* metrics, const SharedExecTables* tables)
     : target_(&target),
       config_(config),
+      tables_(tables),
       clock_(clock),
       latency_(latency),
       injector_(fault_plan, fault_seed) {
@@ -71,7 +72,10 @@ GuestVm::GuestVm(const Target& target, const KernelConfig& config,
 
 Executor& GuestVm::EnsureExecutor() const {
   if (executor_ == nullptr) {
-    executor_ = std::make_unique<Executor>(*target_, config_);
+    executor_ = tables_ != nullptr
+                    ? std::make_unique<Executor>(*target_, config_,
+                                                 tables_->Get())
+                    : std::make_unique<Executor>(*target_, config_);
   }
   return *executor_;
 }

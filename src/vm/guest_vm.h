@@ -32,10 +32,12 @@
 // (consecutive failures, infra faults, quarantines) feed the recovery
 // policy and the pool's per-VM health report (VmPool::HealthReport).
 //
-// The executor and the shm channel (~5 MiB together) allocate lazily on
-// first execution: a fleet of thousands of cold or boot-looping guests
-// costs kilobytes each, which is what makes 2048-VM storm scenarios
-// runnable (the boot handshake itself only touches the control socket).
+// The executor and the shm channel are built on first execution, so a
+// cold or boot-looping guest costs kilobytes (the boot handshake only
+// touches the control socket). Their 2 MiB data window and 1 MiB region
+// are demand-zero and the executor tables are the pool's, so a guest's
+// resident cost follows the pages its programs touch, which is what makes
+// 2048-VM storm scenarios cheap (DESIGN.md §11, §12).
 //
 // Every execution is a (program image, keep mask) pair. The guest's
 // executor keeps the last program it decoded; the VM ships a program only
@@ -96,11 +98,14 @@ class GuestVm {
   // non-empty `fault_plan` arms the injector; `fault_seed` makes its
   // decision stream deterministic per VM. A non-null `metrics` registry
   // receives the VM-side telemetry (round-trip latency histogram, per-kind
-  // injected-fault counters, reboots).
+  // injected-fault counters, reboots). The executor borrows `tables` (a
+  // pool's, built for the same target and config; it must outlive the VM),
+  // or builds its own when it is null.
   GuestVm(const Target& target, const KernelConfig& config, SimClock* clock,
           VmLatencyModel latency = VmLatencyModel(),
           const FaultPlan& fault_plan = FaultPlan(), uint64_t fault_seed = 0,
-          MetricRegistry* metrics = nullptr);
+          MetricRegistry* metrics = nullptr,
+          const SharedExecTables* tables = nullptr);
 
   // Boots the guest and performs the executor handshake (blocking: charges
   // the campaign clock inline).
@@ -221,6 +226,7 @@ class GuestVm {
 
   const Target* target_;
   KernelConfig config_;
+  const SharedExecTables* tables_;
   // Allocated on first use; mutable so const probes (executor()) can
   // materialize them. A cold VM carries neither.
   mutable std::unique_ptr<Executor> executor_;

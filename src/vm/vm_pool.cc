@@ -24,7 +24,7 @@ VmPool::VmPool(const Target& target, const KernelConfig& config,
                SimClock* clock, size_t count, VmLatencyModel latency,
                const FaultPlan& fault_plan, uint64_t fault_seed,
                MetricRegistry* metrics, FleetOptions fleet)
-    : clock_(clock) {
+    : clock_(clock), tables_(target, config) {
   vms_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     // Each VM gets an independent, reproducible fault stream. Seeds are
@@ -33,7 +33,8 @@ VmPool::VmPool(const Target& target, const KernelConfig& config,
     const uint64_t vm_seed =
         Mix64(fault_seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     vms_.push_back(std::make_unique<GuestVm>(target, config, clock, latency,
-                                             fault_plan, vm_seed, metrics));
+                                             fault_plan, vm_seed, metrics,
+                                             &tables_));
   }
 
   num_lanes_ = fleet.lanes == 0 ? count : std::min(fleet.lanes, count);

@@ -98,6 +98,9 @@ class VmPool {
   size_t size() const { return vms_.size(); }
   GuestVm& vm(size_t index) { return *vms_[index]; }
   const GuestVm& vm(size_t index) const { return *vms_[index]; }
+  // The executor tables every guest of the pool borrows; built by the first
+  // caller (a fuzzing loop's enabled list, or a guest's first execution).
+  const ExecTables& tables() const { return *tables_.Get(); }
 
   // Round-robin pick for the next execution, skipping guests that are down
   // or quarantined so fresh work never lands on a dead VM while a healthy
@@ -184,6 +187,7 @@ class VmPool {
   void OnLifecycleSettled(size_t lane, GuestVm* vm);
 
   SimClock* clock_;
+  SharedExecTables tables_;  // Outlives vms_, which borrow it.
   std::vector<std::unique_ptr<GuestVm>> vms_;
   size_t next_ = 0;
   bool legacy_ = true;
