@@ -1,16 +1,46 @@
 #include "src/base/metrics.h"
 
+#include <bit>
 #include <cstdlib>
 
 #include "src/base/string_util.h"
 
 namespace healer {
 
-size_t Counter::ThisThreadShard() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
+namespace {
+
+// Bit s set: owned shard s has no live thread.
+std::atomic<uint32_t> g_free_shards{(1u << Counter::kOwnedShards) - 1};
+
+}  // namespace
+
+// Releases an owned shard when its thread exits; anything the thread still
+// adds afterwards goes to the shared shard. The release pairs with the
+// acquiring CAS, so the next owner's loads see this thread's last stores.
+struct Counter::ShardLease {
+  size_t shard = kOwnedShards;
+  ~ShardLease() {
+    this_thread_shard_ = kOwnedShards;
+    if (shard < kOwnedShards) {
+      g_free_shards.fetch_or(uint32_t{1} << shard,
+                             std::memory_order_release);
+    }
+  }
+};
+
+void Counter::AcquireShard() {
+  thread_local ShardLease lease;
+  uint32_t free = g_free_shards.load(std::memory_order_relaxed);
+  while (free != 0) {
+    const uint32_t lowest = free & (~free + 1);
+    if (g_free_shards.compare_exchange_weak(free, free & ~lowest,
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed)) {
+      lease.shard = static_cast<size_t>(std::countr_zero(lowest));
+      break;
+    }
+  }
+  this_thread_shard_ = lease.shard;
 }
 
 uint64_t Histogram::BucketUpperEdge(size_t index) {
@@ -227,18 +257,17 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
     snapshot.gauges[name] = gauge->Value();
   }
   for (const auto& [name, hist] : histograms_) {
+    // The count is the sum of the buckets copied, so the two agree even
+    // while other threads observe.
     HistogramSnapshot h;
-    h.count = hist->Count();
     h.sum = hist->Sum();
-    size_t highest = 0;
+    h.buckets.resize(Histogram::kBuckets);
     for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (hist->BucketCount(i) != 0) {
-        highest = i + 1;
-      }
-    }
-    h.buckets.resize(highest);
-    for (size_t i = 0; i < highest; ++i) {
       h.buckets[i] = hist->BucketCount(i);
+      h.count += h.buckets[i];
+    }
+    while (!h.buckets.empty() && h.buckets.back() == 0) {
+      h.buckets.pop_back();
     }
     snapshot.histograms[name] = std::move(h);
   }

@@ -2,10 +2,12 @@
 // histograms behind a registry with Prometheus-text and JSON export.
 //
 // Design constraints, in order:
-//   1. Hot-path cost. Counter::Add is one relaxed fetch_add on a per-thread
-//      shard (cache-line padded), so ParallelFuzzer workers never contend on
-//      a shared atomic. Callers hold raw Counter*/Gauge*/Histogram* handles;
-//      the registry mutex is only taken at registration and snapshot time.
+//   1. Hot-path cost. Counter::Add writes a per-thread shard (cache-line
+//      padded) that only its thread writes, so it is a relaxed load and
+//      store, and ParallelFuzzer workers never contend on a shared atomic;
+//      Histogram::Observe is two relaxed fetch_adds (bucket and sum).
+//      Callers hold raw Counter*/Gauge*/Histogram* handles; the registry
+//      mutex is only taken at registration and snapshot time.
 //   2. Determinism. Metrics are plain exact integer/double cells — a
 //      campaign's snapshot is a pure function of (options, seed, fault_plan)
 //      like every other campaign output, and tests compare snapshots with
@@ -41,14 +43,27 @@ inline constexpr bool kTelemetryEnabled = true;
 #endif
 
 // Monotonic counter, sharded per thread. Value() is exact (sums shards).
+//
+// Each live thread owns one of the first kOwnedShards shards, the same one
+// in every counter, and is its only writer: Add is a plain relaxed load and
+// store instead of a locked read-modify-write. A thread gives its shard
+// back when it exits. Threads beyond kOwnedShards alive at once share the
+// last shard through fetch_add.
 class Counter {
  public:
   static constexpr size_t kShards = 16;
+  static constexpr size_t kOwnedShards = kShards - 1;
 
   void Add(uint64_t delta = 1) {
 #ifndef HEALER_NO_TELEMETRY
-    shards_[ThisThreadShard()].value.fetch_add(delta,
-                                               std::memory_order_relaxed);
+    const size_t shard = ThisThreadShard();
+    std::atomic<uint64_t>& value = shards_[shard].value;
+    if (shard < kOwnedShards) [[likely]] {
+      value.store(value.load(std::memory_order_relaxed) + delta,
+                  std::memory_order_relaxed);
+    } else {
+      value.fetch_add(delta, std::memory_order_relaxed);
+    }
 #endif
   }
 
@@ -65,8 +80,20 @@ class Counter {
     std::atomic<uint64_t> value{0};
   };
 
-  // Threads are assigned shards round-robin on first use.
-  static size_t ThisThreadShard();
+  // This thread's shard; kShards until its first Add. Constant-initialized,
+  // so reading it needs no initialization guard and no call.
+  static inline thread_local size_t this_thread_shard_ = kShards;
+
+  static size_t ThisThreadShard() {
+    if (this_thread_shard_ == kShards) [[unlikely]] {
+      AcquireShard();
+    }
+    return this_thread_shard_;
+  }
+  // Sets this_thread_shard_ to a free owned shard, released when the thread
+  // exits, or to the shared one when none is free.
+  static void AcquireShard();
+  struct ShardLease;
 
   std::array<Shard, kShards> shards_{};
 };
@@ -98,7 +125,6 @@ class Histogram {
   void Observe(uint64_t value) {
 #ifndef HEALER_NO_TELEMETRY
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
 #endif
   }
@@ -109,7 +135,15 @@ class Histogram {
   // Largest value that falls into bucket `index` (inclusive).
   static uint64_t BucketUpperEdge(size_t index);
 
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  // The bucket counts' sum: one less read-modify-write per Observe than
+  // keeping a count of its own.
+  uint64_t Count() const {
+    uint64_t total = 0;
+    for (const auto& bucket : buckets_) {
+      total += bucket.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t BucketCount(size_t index) const {
     return buckets_[index].load(std::memory_order_relaxed);
@@ -117,7 +151,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
 };
 
