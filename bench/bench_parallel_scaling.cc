@@ -12,11 +12,12 @@
 // The second section scales the reactor fleet instead of the workers: the
 // same 4 worker threads drive 8 / 64 / 512 / 2048 simulated guests through
 // the sharded EventLoop topology (DESIGN.md §12), reporting wall time,
-// execs/sec and the peak OS-thread count sampled from /proc/self/status.
-// The fleet's scaling claim is structural — guests are state machines, not
-// threads — so peak threads must stay at workers + harness regardless of
-// fleet size. Emits BENCH_fleet.json; scripts/check.sh's `fleet` stage
-// guards the thread ceiling and the 2048-guest wall-clock budget.
+// execs/sec, and the peak OS-thread count and resident memory sampled from
+// /proc/self/status. The fleet's scaling claim is structural — guests are
+// state machines, not threads, and pay only for the pages they touch — so
+// peak threads must stay at workers + harness regardless of fleet size.
+// Emits BENCH_fleet.json; scripts/check.sh's `fleet` stage guards the
+// thread ceiling, the 2048-guest wall-clock budget and its peak RSS.
 //
 // Usage: bench_parallel_scaling [total_execs] [fleet_execs]
 //        (defaults 4000 and total_execs)
@@ -79,22 +80,34 @@ ScalingRow RunOne(size_t workers, uint64_t total_execs) {
   return row;
 }
 
-// Current OS-thread count of this process (Threads: in /proc/self/status);
-// 0 when the file is unavailable (non-Linux), which disables the guard.
-size_t CurrentThreads() {
+// This process's current OS-thread count and resident set (Threads: and
+// VmRSS: in /proc/self/status); both read 0 when the file is unavailable
+// (non-Linux), which disables the guards.
+struct ProcStatus {
+  size_t threads = 0;
+  size_t rss_kb = 0;
+};
+
+ProcStatus ReadProcStatus() {
+  ProcStatus status;
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) {
-    return 0;
+    return status;
   }
   char line[256];
-  size_t threads = 0;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "Threads: %zu", &threads) == 1) {
-      break;
-    }
+    std::sscanf(line, "Threads: %zu", &status.threads);
+    std::sscanf(line, "VmRSS: %zu", &status.rss_kb);
   }
   std::fclose(f);
-  return threads;
+  return status;
+}
+
+// Raises `peak` to `value` if it is higher.
+void RaisePeak(std::atomic<size_t>* peak, size_t value) {
+  size_t p = peak->load(std::memory_order_relaxed);
+  while (value > p && !peak->compare_exchange_weak(p, value)) {
+  }
 }
 
 struct FleetRow {
@@ -103,22 +116,24 @@ struct FleetRow {
   double wall_secs = 0.0;
   double execs_per_sec = 0.0;
   size_t peak_threads = 0;
+  double peak_rss_mb = 0.0;
 };
 
 constexpr size_t kFleetWorkers = 4;
 
 FleetRow RunFleet(size_t fleet_size, uint64_t total_execs) {
-  // Peak-thread sampler: polls while the campaign runs. It is itself one of
-  // the threads it counts, as is the main thread; the guard budgets for
-  // both.
+  // Peak sampler: polls the thread count and resident set while the
+  // campaign runs. It is itself one of the threads it counts, as is the
+  // main thread; the thread guard budgets for both.
   std::atomic<bool> stop{false};
-  std::atomic<size_t> peak{CurrentThreads()};
+  const ProcStatus start_status = ReadProcStatus();
+  std::atomic<size_t> peak_threads{start_status.threads};
+  std::atomic<size_t> peak_rss_kb{start_status.rss_kb};
   std::thread sampler([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const size_t n = CurrentThreads();
-      size_t p = peak.load(std::memory_order_relaxed);
-      while (n > p && !peak.compare_exchange_weak(p, n)) {
-      }
+      const ProcStatus now = ReadProcStatus();
+      RaisePeak(&peak_threads, now.threads);
+      RaisePeak(&peak_rss_kb, now.rss_kb);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -149,7 +164,8 @@ FleetRow RunFleet(size_t fleet_size, uint64_t total_execs) {
   row.execs_per_sec =
       wall_secs > 0.0 ? static_cast<double>(result.fuzz_execs) / wall_secs
                       : 0.0;
-  row.peak_threads = peak.load();
+  row.peak_threads = peak_threads.load();
+  row.peak_rss_mb = static_cast<double>(peak_rss_kb.load()) / 1024.0;
   return row;
 }
 
@@ -192,16 +208,17 @@ int Main(int argc, char** argv) {
   bench::PrintHeader(
       "Reactor fleet scaling: simulated guests on a fixed 4-worker pool",
       "DESIGN.md §12; guests are event-loop state machines, not threads");
-  std::printf("%8s %8s %12s %14s %14s\n", "guests", "shards", "wall-secs",
-              "execs/sec", "peak-threads");
+  std::printf("%8s %8s %12s %14s %14s %14s\n", "guests", "shards",
+              "wall-secs", "execs/sec", "peak-threads", "peak-rss-mb");
   std::vector<std::pair<std::string, double>> fleet_metrics;
   fleet_metrics.emplace_back("workers", static_cast<double>(kFleetWorkers));
   fleet_metrics.emplace_back("fleet_execs",
                              static_cast<double>(fleet_execs));
   for (size_t fleet : {8, 64, 512, 2048}) {
     const FleetRow row = RunFleet(fleet, fleet_execs);
-    std::printf("%8zu %8zu %12.3f %14.0f %14zu\n", row.fleet, row.shards,
-                row.wall_secs, row.execs_per_sec, row.peak_threads);
+    std::printf("%8zu %8zu %12.3f %14.0f %14zu %14.1f\n", row.fleet,
+                row.shards, row.wall_secs, row.execs_per_sec,
+                row.peak_threads, row.peak_rss_mb);
     const std::string prefix = "fleet" + std::to_string(fleet) + "_";
     fleet_metrics.emplace_back(prefix + "shards",
                                static_cast<double>(row.shards));
@@ -209,6 +226,7 @@ int Main(int argc, char** argv) {
     fleet_metrics.emplace_back(prefix + "execs_per_sec", row.execs_per_sec);
     fleet_metrics.emplace_back(prefix + "peak_threads",
                                static_cast<double>(row.peak_threads));
+    fleet_metrics.emplace_back(prefix + "peak_rss_mb", row.peak_rss_mb);
     // The structural budget: workers + shards + the harness's own main and
     // sampler threads. The check.sh guard compares peak against this.
     fleet_metrics.emplace_back(

@@ -9,7 +9,7 @@
 # overhead guard against a -DHEALER_NO_TELEMETRY baseline build), and a
 # parallel stage (scaling-bench smoke + critical-section-share guard), a
 # fleet stage (reactor-fleet scaling: OS-thread ceiling + wall-clock budget
-# + storm determinism tests), a
+# + peak-RSS budget + storm determinism tests), a
 # relation stage (snapshot-Select speedup guard + draw-determinism tests),
 # an exec stage (call-mask replay, image-interpreter differential and
 # wire-hostile parity suites), an
@@ -197,7 +197,7 @@ run_parallel() {
 }
 
 run_fleet() {
-  echo "==> fleet: reactor scaling bench + thread-ceiling/wall-clock guards"
+  echo "==> fleet: reactor scaling bench + thread/wall-clock/RSS guards"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$jobs" --target bench_parallel_scaling healer_tests
   local tmp
@@ -211,23 +211,36 @@ run_fleet() {
   # process's peak OS-thread count must stay within workers + shards + the
   # bench harness's own two threads (main + sampler). peak_threads reads 0
   # only when /proc is unavailable, which skips the guard.
-  awk '
-    /"fleet2048_peak_threads"/ { gsub(/[^0-9.]/, ""); peak=$0+0 }
-    /"fleet2048_thread_budget"/ { gsub(/[^0-9.]/, ""); budget=$0+0 }
+  awk -F: '
+    /"fleet2048_peak_threads"/ { gsub(/[ ,]/, "", $2); peak=$2+0 }
+    /"fleet2048_thread_budget"/ { gsub(/[ ,]/, "", $2); budget=$2+0 }
     END {
       if (budget == 0) { print "FAIL: fleet2048_thread_budget missing"; exit 1 }
       printf "    2048-guest peak OS threads: %d (budget %d)\n", peak, budget;
       if (peak == 0) { print "    (no /proc/self/status; ceiling skipped)"; exit 0 }
       if (peak > budget) { print "FAIL: thread count scales with fleet size"; exit 1 }
     }' "$tmp/BENCH_fleet.json"
-  # Guard 2 — wall-clock budget: the 2048-guest smoke config measures ~2.6s
-  # here; 30s is the regression tripwire (an accidental O(fleet) hot path or
-  # a reactor spin shows up as an order-of-magnitude blowup, not seconds).
+  # Guard 2 — wall-clock budget: the 2048-guest smoke config measures
+  # 0.1-0.2s on a 4-core host; 30s is the regression tripwire (an accidental
+  # O(fleet) hot path or a reactor spin shows up as an order-of-magnitude
+  # blowup, not seconds).
   awk -F: '/"fleet2048_wall_secs"/ {
       gsub(/[ ,]/, "", $2); secs=$2+0;
       printf "    2048-guest wall time: %.2fs (budget 30s)\n", secs;
       found=1; if (secs > 30) { print "FAIL: 2048-guest wall time above budget"; exit 1 }
     } END { if (!found) { print "FAIL: fleet2048_wall_secs missing"; exit 1 } }' \
+    "$tmp/BENCH_fleet.json"
+  # Guard 3 — guests pay only for what they touch: a guest's data window and
+  # shm region are demand-zero and its executor tables are the pool's, so
+  # 2048 guests peak at ~50 MB (a 2 MiB + 1 MiB private copy each once took
+  # ~4.9 GB). 512 MB is the budget. peak_rss_mb reads 0 only when /proc is
+  # unavailable, which skips the guard.
+  awk -F: '/"fleet2048_peak_rss_mb"/ {
+      gsub(/[ ,]/, "", $2); mb=$2+0; found=1;
+      printf "    2048-guest peak RSS: %.1f MB (budget 512 MB)\n", mb;
+      if (mb == 0) { print "    (no /proc/self/status; RSS budget skipped)"; exit 0 }
+      if (mb > 512) { print "FAIL: 2048-guest peak RSS above budget"; exit 1 }
+    } END { if (!found) { print "FAIL: fleet2048_peak_rss_mb missing"; exit 1 } }' \
     "$tmp/BENCH_fleet.json"
   # Storm determinism + lifecycle correctness: boot/crash storms charge
   # exactly once, same-seed journals are byte-identical, and the legacy

@@ -19,6 +19,7 @@
 #include "src/fuzz/templates.h"
 #include "src/syzlang/builtin_descs.h"
 #include "src/vm/vm_pool.h"
+#include "tests/test_util.h"
 
 namespace healer {
 namespace {
@@ -283,6 +284,27 @@ TEST(FleetPoolTest, CrashStormRebootsExactlyOnce) {
     pending += s.timers_pending;
   }
   EXPECT_EQ(pending, 0u);
+}
+
+TEST(FleetPoolTest, GuestsPayOnlyForTouchedPages) {
+  SimClock clock;
+  VmPool pool(BuiltinTarget(), Config(), &clock, 64);
+  const Prog prog = Chain({"pipe2", "write$pipe", "read$pipe"});
+  pool.vm(0).Exec(prog, nullptr);  // Builds the pool's shared tables.
+  const uint64_t before = ResidentBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "/proc/self/statm unreadable";
+  }
+  for (size_t i = 1; i < pool.size(); ++i) {
+    const ExecResult result = pool.vm(i).Exec(prog, nullptr);
+    ASSERT_FALSE(result.Failed()) << "vm " << i;
+  }
+  // Each guest's data window and shm region are demand-zero: a guest costs
+  // the pages its program touched, not the 3 MiB it may address.
+  const double per_guest_mb =
+      static_cast<double>(ResidentBytes() - before) / (1 << 20) /
+      static_cast<double>(pool.size() - 1);
+  EXPECT_LT(per_guest_mb, 1.0);
 }
 
 TEST(FleetPoolTest, SameSeedLifecycleJournalsAreByteIdentical) {
