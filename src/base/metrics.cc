@@ -1,46 +1,14 @@
 #include "src/base/metrics.h"
 
-#include <bit>
 #include <cstdlib>
 
 #include "src/base/string_util.h"
 
 namespace healer {
 
-namespace {
-
-// Bit s set: owned shard s has no live thread.
-std::atomic<uint32_t> g_free_shards{(1u << Counter::kOwnedShards) - 1};
-
-}  // namespace
-
-// Releases an owned shard when its thread exits; anything the thread still
-// adds afterwards goes to the shared shard. The release pairs with the
-// acquiring CAS, so the next owner's loads see this thread's last stores.
-struct Counter::ShardLease {
-  size_t shard = kOwnedShards;
-  ~ShardLease() {
-    this_thread_shard_ = kOwnedShards;
-    if (shard < kOwnedShards) {
-      g_free_shards.fetch_or(uint32_t{1} << shard,
-                             std::memory_order_release);
-    }
-  }
-};
-
-void Counter::AcquireShard() {
-  thread_local ShardLease lease;
-  uint32_t free = g_free_shards.load(std::memory_order_relaxed);
-  while (free != 0) {
-    const uint32_t lowest = free & (~free + 1);
-    if (g_free_shards.compare_exchange_weak(free, free & ~lowest,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed)) {
-      lease.shard = static_cast<size_t>(std::countr_zero(lowest));
-      break;
-    }
-  }
-  this_thread_shard_ = lease.shard;
+void Counter::AssignShard() {
+  static std::atomic<size_t> next{0};
+  this_thread_shard_ = next.fetch_add(1, std::memory_order_relaxed) % kShards;
 }
 
 uint64_t Histogram::BucketUpperEdge(size_t index) {

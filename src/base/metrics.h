@@ -2,12 +2,11 @@
 // histograms behind a registry with Prometheus-text and JSON export.
 //
 // Design constraints, in order:
-//   1. Hot-path cost. Counter::Add writes a per-thread shard (cache-line
-//      padded) that only its thread writes, so it is a relaxed load and
-//      store, and ParallelFuzzer workers never contend on a shared atomic;
-//      Histogram::Observe is two relaxed fetch_adds (bucket and sum).
-//      Callers hold raw Counter*/Gauge*/Histogram* handles; the registry
-//      mutex is only taken at registration and snapshot time.
+//   1. Hot-path cost. Counter::Add is one relaxed fetch_add on a per-thread
+//      shard (cache-line padded), so ParallelFuzzer workers never contend on
+//      a shared atomic; Histogram::Observe is two (bucket and sum). Callers
+//      hold raw Counter*/Gauge*/Histogram* handles; the registry mutex is
+//      only taken at registration and snapshot time.
 //   2. Determinism. Metrics are plain exact integer/double cells — a
 //      campaign's snapshot is a pure function of (options, seed, fault_plan)
 //      like every other campaign output, and tests compare snapshots with
@@ -43,27 +42,14 @@ inline constexpr bool kTelemetryEnabled = true;
 #endif
 
 // Monotonic counter, sharded per thread. Value() is exact (sums shards).
-//
-// Each live thread owns one of the first kOwnedShards shards, the same one
-// in every counter, and is its only writer: Add is a plain relaxed load and
-// store instead of a locked read-modify-write. A thread gives its shard
-// back when it exits. Threads beyond kOwnedShards alive at once share the
-// last shard through fetch_add.
 class Counter {
  public:
   static constexpr size_t kShards = 16;
-  static constexpr size_t kOwnedShards = kShards - 1;
 
   void Add(uint64_t delta = 1) {
 #ifndef HEALER_NO_TELEMETRY
-    const size_t shard = ThisThreadShard();
-    std::atomic<uint64_t>& value = shards_[shard].value;
-    if (shard < kOwnedShards) [[likely]] {
-      value.store(value.load(std::memory_order_relaxed) + delta,
-                  std::memory_order_relaxed);
-    } else {
-      value.fetch_add(delta, std::memory_order_relaxed);
-    }
+    shards_[ThisThreadShard()].value.fetch_add(delta,
+                                               std::memory_order_relaxed);
 #endif
   }
 
@@ -86,14 +72,12 @@ class Counter {
 
   static size_t ThisThreadShard() {
     if (this_thread_shard_ == kShards) [[unlikely]] {
-      AcquireShard();
+      AssignShard();
     }
     return this_thread_shard_;
   }
-  // Sets this_thread_shard_ to a free owned shard, released when the thread
-  // exits, or to the shared one when none is free.
-  static void AcquireShard();
-  struct ShardLease;
+  // Threads are assigned shards round-robin on first use.
+  static void AssignShard();
 
   std::array<Shard, kShards> shards_{};
 };

@@ -133,35 +133,31 @@ TEST(TelemetryThreadsTest, CountersExactUnder8Threads) {
   EXPECT_EQ(snap.counter("healer_threads_total"), kThreads * kPerThread);
 }
 
-TEST(TelemetryThreadsTest, CountersExactWhenThreadsOutnumberOwnedShards) {
+TEST(TelemetryThreadsTest, CountersExactWhenThreadsOutnumberShards) {
   if (!kTelemetryEnabled) {
     GTEST_SKIP() << "telemetry compiled out";
   }
   MetricRegistry registry;
-  Counter* counter = registry.GetCounter("healer_waves_total");
-  // Each wave has more live threads than owned shards, so some share the
-  // last shard; later waves reuse the shards earlier waves gave back.
-  constexpr size_t kThreads = Counter::kOwnedShards + 9;
-  constexpr int kWaves = 3;
+  Counter* counter = registry.GetCounter("healer_crowd_total");
+  // More live threads than shards, so some threads share a shard.
+  constexpr size_t kThreads = Counter::kShards + 8;
   constexpr uint64_t kPerThread = 5000;
-  for (int wave = 0; wave < kWaves; ++wave) {
-    // Every thread takes its shard (first Add) before any finishes.
-    std::latch all_started(kThreads);
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([counter, &all_started] {
+  // Every thread takes its shard (first Add) before any finishes.
+  std::latch all_started(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([counter, &all_started] {
+      counter->Add();
+      all_started.arrive_and_wait();
+      for (uint64_t i = 1; i < kPerThread; ++i) {
         counter->Add();
-        all_started.arrive_and_wait();
-        for (uint64_t i = 1; i < kPerThread; ++i) {
-          counter->Add();
-        }
-      });
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
+      }
+    });
   }
-  EXPECT_EQ(counter->Value(), kWaves * kThreads * kPerThread);
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter->Value(), kThreads * kPerThread);
 }
 
 TEST(MetricsTest, PrometheusGolden) {
