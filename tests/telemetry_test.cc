@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -131,33 +130,6 @@ TEST(TelemetryThreadsTest, CountersExactUnder8Threads) {
   // Snapshot while nothing is running is exact too.
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counter("healer_threads_total"), kThreads * kPerThread);
-}
-
-TEST(TelemetryThreadsTest, CountersExactWhenThreadsOutnumberShards) {
-  if (!kTelemetryEnabled) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
-  MetricRegistry registry;
-  Counter* counter = registry.GetCounter("healer_crowd_total");
-  // More live threads than shards, so some threads share a shard.
-  constexpr size_t kThreads = Counter::kShards + 8;
-  constexpr uint64_t kPerThread = 5000;
-  // Every thread takes its shard (first Add) before any finishes.
-  std::latch all_started(kThreads);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([counter, &all_started] {
-      counter->Add();
-      all_started.arrive_and_wait();
-      for (uint64_t i = 1; i < kPerThread; ++i) {
-        counter->Add();
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(counter->Value(), kThreads * kPerThread);
 }
 
 TEST(MetricsTest, PrometheusGolden) {
