@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <string_view>
+#include <utility>
 
 namespace healer {
 
@@ -46,35 +48,69 @@ size_t FenwickPick(const std::vector<uint64_t>& f, uint64_t roll) {
 
 }  // namespace
 
-const Prog& CorpusSnapshot::Choose(Rng* rng) const {
+StoredProg::StoredProg(const Prog& prog)
+    : target_(prog.target()),
+      bytes_(SerializeProg(prog)),
+      hash_(Corpus::ContentHash(bytes_)),
+      calls_(static_cast<uint32_t>(prog.size())) {
+  // The encoder's buffer grows ahead of the bytes; an entry at rest keeps
+  // only the image.
+  bytes_.shrink_to_fit();
+}
+
+StoredProg::StoredProg(const Target& target, std::vector<uint8_t> bytes,
+                       size_t calls)
+    : target_(&target),
+      bytes_(std::move(bytes)),
+      hash_(Corpus::ContentHash(bytes_)),
+      calls_(static_cast<uint32_t>(calls)) {}
+
+Prog StoredProg::CloneInto(ProgArena* arena) const {
+  // The bytes came from SerializeProg or passed DecodedImage::Decode, so
+  // they decode.
+  Result<Prog> prog =
+      DeserializeProg(*target_, bytes_.data(), bytes_.size(), arena);
+  assert(prog.ok());
+  return prog.ok() ? std::move(*prog) : Prog(target_);
+}
+
+const StoredProg& CorpusSnapshot::Choose(Rng* rng) const {
   assert(!progs.empty());
   return *progs[FenwickPick(fenwick, rng->Below(total_priority))];
 }
 
-bool Corpus::Add(Prog prog, uint32_t priority) {
-  if (entries_.size() >= kMaxEntries || prog.empty()) {
-    return false;
-  }
-  const uint64_t hash = ContentHash(prog);
-  return Add(std::move(prog), priority, hash);
+uint64_t Corpus::ContentHash(const std::vector<uint8_t>& bytes) {
+  return FastBytesHash(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
-bool Corpus::Add(Prog prog, uint32_t priority, uint64_t content_hash) {
+uint64_t Corpus::ContentHash(const Prog& prog) {
+  return ContentHash(SerializeProg(prog));
+}
+
+bool Corpus::Add(const Prog& prog, uint32_t priority) {
   if (entries_.size() >= kMaxEntries || prog.empty()) {
     return false;
   }
-  if (!hashes_.insert(content_hash).second) {
+  return Add(StoredProg(prog), priority);
+}
+
+bool Corpus::Add(StoredProg prog, uint32_t priority) {
+  if (entries_.size() >= kMaxEntries || prog.size() == 0) {
+    return false;
+  }
+  if (!hashes_.insert(prog.hash()).second) {
     return false;
   }
   priority = std::max<uint32_t>(priority, 1);
   total_priority_ += priority;
   FenwickAppend(&fenwick_, priority);
   entries_.push_back(
-      Entry{std::make_shared<const Prog>(std::move(prog)), priority});
+      Entry{std::make_shared<const StoredProg>(std::move(prog)), priority});
   return true;
 }
 
-const Prog& Corpus::Choose(Rng* rng) const {
+const StoredProg& Corpus::Choose(Rng* rng) const {
   assert(!entries_.empty());
   return *entries_[FenwickPick(fenwick_, rng->Below(total_priority_))].prog;
 }

@@ -1,6 +1,13 @@
 // Corpus of interesting (minimized) programs, weighted by the amount of new
 // coverage they contributed when first seen.
 //
+// Programs at rest are wire images: each entry is a StoredProg — the
+// SerializeProg bytes, their content hash and the call count — about a
+// third of the heap an Arg tree of the same program takes. Arg trees are
+// step-scoped scratch: the fuzzing loop decodes the entry it picks into its
+// step arena (StoredProg::CloneInto), gossip relays the stored bytes as
+// they are, and admission serializes a program exactly once.
+//
 // Weighted sampling uses a Fenwick (binary-indexed) tree over entry
 // priorities: Choose() descends the tree in O(log n) instead of the old
 // O(n) prefix scan, Add() extends it in O(log n), and UpdatePriority()
@@ -8,7 +15,7 @@
 // to the linear scan (same single rng->Below(total) roll, same chosen
 // index), so fixed-seed campaigns are unchanged.
 //
-// Programs are held by shared_ptr so Snapshot() can hand parallel workers an
+// Entries are held by shared_ptr so Snapshot() can hand parallel workers an
 // immutable, cheaply-copied view (see CorpusSnapshot): workers sample from a
 // snapshot lock-free while the authoritative Corpus keeps growing.
 
@@ -26,12 +33,39 @@
 
 namespace healer {
 
-// Immutable point-in-time view of a corpus: the programs (shared with the
+// A corpus program at rest: its wire image, the image's content hash and
+// the program's call count. Immutable once built.
+class StoredProg {
+ public:
+  // Serializes `prog` and hashes the bytes.
+  explicit StoredProg(const Prog& prog);
+  // Adopts `bytes`, a valid image of a `calls`-call program for `target`
+  // (DecodedImage::Decode accepted it), and hashes them.
+  StoredProg(const Target& target, std::vector<uint8_t> bytes, size_t calls);
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  uint64_t hash() const { return hash_; }
+  // Number of calls.
+  size_t size() const { return calls_; }
+
+  // Decodes the image into a program whose nodes live in `arena` (nullptr →
+  // heap).
+  Prog CloneInto(ProgArena* arena) const;
+  Prog Clone() const { return CloneInto(nullptr); }
+
+ private:
+  const Target* target_;
+  std::vector<uint8_t> bytes_;
+  uint64_t hash_;
+  uint32_t calls_;
+};
+
+// Immutable point-in-time view of a corpus: the entries (shared with the
 // live corpus) plus a copy of the Fenwick tree, so Choose() works without
 // touching — or locking — the authoritative state. Publish-side cost is one
 // O(n) vector copy, paid only when new programs actually landed.
 struct CorpusSnapshot {
-  std::vector<std::shared_ptr<const Prog>> progs;
+  std::vector<std::shared_ptr<const StoredProg>> progs;
   std::vector<uint64_t> fenwick;  // 1-based; fenwick[0] unused.
   uint64_t total_priority = 0;
 
@@ -39,44 +73,38 @@ struct CorpusSnapshot {
   size_t size() const { return progs.size(); }
   // Priority-weighted random pick; same distribution and same draw
   // consumption as Corpus::Choose.
-  const Prog& Choose(Rng* rng) const;
+  const StoredProg& Choose(Rng* rng) const;
 };
 
 class Corpus {
  public:
   static constexpr size_t kMaxEntries = 16384;
 
-  // Content identity used for deduplication. Callers that already hold the
-  // serialized bytes (the new-coverage path just executed them) should hash
-  // those and use the precomputed-hash Add overload below instead of paying
-  // for a second SerializeProg.
-  static uint64_t ContentHash(const std::vector<uint8_t>& bytes) {
-    return Fnv1a(std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                  bytes.size()));
-  }
-  static uint64_t ContentHash(const Prog& prog) {
-    return ContentHash(SerializeProg(prog));
-  }
+  // Content identity used for deduplication: a hash of the wire image.
+  static uint64_t ContentHash(const std::vector<uint8_t>& bytes);
+  static uint64_t ContentHash(const Prog& prog);
+  static uint64_t ContentHash(const StoredProg& prog) { return prog.hash(); }
 
-  // Adds a program (deduplicated by serialized content). Returns true if it
-  // was new. Serializes the program to hash it.
-  bool Add(Prog prog, uint32_t priority);
-  // Same, with the content hash precomputed by the caller.
-  bool Add(Prog prog, uint32_t priority, uint64_t content_hash);
+  // Adds a program (deduplicated by content hash). Returns true if it was
+  // new. The Prog overload serializes the program.
+  bool Add(StoredProg prog, uint32_t priority);
+  bool Add(const Prog& prog, uint32_t priority);
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
 
   // Priority-weighted random pick. O(log n).
-  const Prog& Choose(Rng* rng) const;
+  const StoredProg& Choose(Rng* rng) const;
 
   // Re-weights an existing entry. O(log n).
   void UpdatePriority(size_t index, uint32_t priority);
 
-  const Prog& at(size_t index) const { return *entries_[index].prog; }
+  const StoredProg& at(size_t index) const { return *entries_[index].prog; }
   uint32_t priority_at(size_t index) const {
     return entries_[index].priority;
   }
+  // The content hash of every entry, in ascending order.
+  const std::set<uint64_t>& content_hashes() const { return hashes_; }
 
   // Immutable view for lock-free sampling by parallel workers.
   std::shared_ptr<const CorpusSnapshot> Snapshot() const;
@@ -87,12 +115,12 @@ class Corpus {
   // Mean program length.
   double MeanLength() const;
 
-  // Deep copies of every program (for persistence via corpus_io).
+  // Every program decoded to heap storage (for persistence via corpus_io).
   std::vector<Prog> ExportAll() const;
 
  private:
   struct Entry {
-    std::shared_ptr<const Prog> prog;
+    std::shared_ptr<const StoredProg> prog;
     uint32_t priority;
   };
   std::vector<Entry> entries_;

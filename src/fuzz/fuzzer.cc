@@ -343,7 +343,7 @@ void FuzzLoop::ProcessFeedback(const ProgImage& image,
     // (0 where the state does not know it yet: a parallel worker's add
     // lands at its next publish).
     const uint64_t admitted_len = seq.prog.size();
-    const size_t corpus_size = state_->Admit(std::move(seq.prog), prio);
+    const size_t corpus_size = state_->Admit(StoredProg(seq.prog), prio);
     m_.corpus_adds->Add();
     journal_->Record(JournalKind::kCorpusAdd, clock_->now(), admitted_len,
                      prio, corpus_size);
@@ -461,7 +461,7 @@ void Fuzzer::CommitRelations() {
   delta_.clear();
 }
 
-size_t Fuzzer::Admit(Prog prog, uint32_t priority) {
+size_t Fuzzer::Admit(StoredProg prog, uint32_t priority) {
   corpus_.Add(std::move(prog), priority);
   return corpus_.size();
 }

@@ -104,9 +104,10 @@ struct FuzzerOptions {
 // (parallel.cc).
 class FuzzState {
  public:
-  // Corpus reads: emptiness and a priority-weighted pick.
+  // Corpus reads: emptiness and a priority-weighted pick, which the loop
+  // decodes into its step arena.
   virtual bool CorpusEmpty() const = 0;
-  virtual const Prog& Choose(Rng* rng) = 0;
+  virtual const StoredProg& Choose(Rng* rng) = 0;
   // The alpha schedule: the current alpha, and one (used_table, gained)
   // outcome of a fuzzing execution.
   virtual double Alpha() const = 0;
@@ -121,9 +122,9 @@ class FuzzState {
   // The delta dynamic learning writes into, and its commit.
   virtual RelationDelta* Delta() = 0;
   virtual void CommitRelations() = 0;
-  // Admits a minimized program to the corpus; returns the corpus size after
-  // it, or 0 where that is not known yet.
-  virtual size_t Admit(Prog prog, uint32_t priority) = 0;
+  // Admits a minimized program, serialized once, to the corpus; returns the
+  // corpus size after it, or 0 where that is not known yet.
+  virtual size_t Admit(StoredProg prog, uint32_t priority) = 0;
   // Checks a guest out for one execution attempt, and back in after it.
   virtual GuestVm* CheckOut() = 0;
   virtual void CheckIn(GuestVm* vm) = 0;
@@ -187,7 +188,7 @@ class FuzzLoop {
   // Region allocator for Step-scoped candidate programs; reset at the top
   // of every Step. Declared before builder_ (which borrows it) so the
   // builder is torn down first. Programs that survive into the corpus are
-  // heap copies selected by the minimizer.
+  // stored serialized (StoredProg); a mutated pick is decoded in here.
   ProgArena arena_;
   ProgBuilder builder_;
   CallSelector selector_;
@@ -237,7 +238,7 @@ class Fuzzer : private FuzzState {
   const FuzzerOptions& options() const { return options_; }
   // Mutable state access for the sharded-campaign gossip layer (shard.h):
   // a FuzzShard imports peer deltas — relation edges via Apply(), coverage
-  // words via OrWord(), seed programs via Corpus::Add — between Step()
+  // words via OrWord(), seed images via Corpus::Add — between Step()
   // batches. Single-threaded like everything else here: callers must not
   // mutate while Step() is running.
   RelationTable* mutable_relations() { return relations_.get(); }
@@ -263,7 +264,9 @@ class Fuzzer : private FuzzState {
  private:
   // ---- FuzzState: feedback applies in place ----
   bool CorpusEmpty() const override { return corpus_.empty(); }
-  const Prog& Choose(Rng* rng) override { return corpus_.Choose(rng); }
+  const StoredProg& Choose(Rng* rng) override {
+    return corpus_.Choose(rng);
+  }
   double Alpha() const override { return alpha_.alpha(); }
   void RecordAlpha(bool used_table, bool gained) override;
   uint64_t CountExec() override { return ++fuzz_execs_; }
@@ -272,7 +275,7 @@ class Fuzzer : private FuzzState {
   // Learned edges apply per minimized sequence.
   RelationDelta* Delta() override { return &delta_; }
   void CommitRelations() override;
-  size_t Admit(Prog prog, uint32_t priority) override;
+  size_t Admit(StoredProg prog, uint32_t priority) override;
   // Legacy topology: the historical health-skipping round robin
   // (pool_.Next()) and a no-op check-in. Fleet topology: pops a ready guest
   // from the next lane (pumping the lane's reactor shard when dry) and

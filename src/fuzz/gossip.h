@@ -114,8 +114,8 @@ Result<std::vector<WireCoverageWord>> DecodeCoveragePayload(
 
 std::vector<uint8_t> EncodeSeedsPayload(
     const std::vector<std::vector<uint8_t>>& progs);
-// Returns the raw SerializeProg blobs; the caller deserializes each against
-// its Target (DeserializeProg carries its own hostile hardening).
+// Returns the raw SerializeProg blobs; the caller validates each against
+// its Target (DecodedImage::Decode carries its own hostile hardening).
 Result<std::vector<std::vector<uint8_t>>> DecodeSeedsPayload(
     const std::vector<uint8_t>& payload);
 

@@ -117,7 +117,9 @@ class Worker final : private FuzzState {
   bool CorpusEmpty() const override {
     return snapshot_ == nullptr || snapshot_->empty();
   }
-  const Prog& Choose(Rng* rng) override { return snapshot_->Choose(rng); }
+  const StoredProg& Choose(Rng* rng) override {
+    return snapshot_->Choose(rng);
+  }
   double Alpha() const override {
     return std::bit_cast<double>(
         shared_->alpha_bits.load(std::memory_order_relaxed));
@@ -150,12 +152,11 @@ class Worker final : private FuzzState {
   // Learned edges accumulate in the batch delta and apply at publish.
   RelationDelta* Delta() override { return &batch_.relations; }
   void CommitRelations() override {}
-  // Hashed outside the lock for the precomputed-hash Corpus::Add. The
-  // corpus size is unknown until publish (journal corpus-add c = 0), which
-  // follows at the end of the iteration so peers can build on the program.
-  size_t Admit(Prog prog, uint32_t priority) override {
-    const uint64_t hash = Corpus::ContentHash(SerializeProg(prog));
-    batch_.adds.push_back(PendingAdd{std::move(prog), priority, hash});
+  // Serialized and hashed outside the lock. The corpus size is unknown
+  // until publish (journal corpus-add c = 0), which follows at the end of
+  // the iteration so peers can build on the program.
+  size_t Admit(StoredProg prog, uint32_t priority) override {
+    batch_.adds.push_back(PendingAdd{std::move(prog), priority});
     return 0;
   }
   // The worker holds one guest for the whole iteration, from its first
@@ -192,9 +193,8 @@ class Worker final : private FuzzState {
 
   // Feedback accumulated since the last publish.
   struct PendingAdd {
-    Prog prog;
+    StoredProg prog;
     uint32_t priority;
-    uint64_t content_hash;
   };
   struct Batch {
     uint64_t execs = 0;
@@ -286,8 +286,7 @@ class Worker final : private FuzzState {
     }
     bool added = false;
     for (PendingAdd& add : batch_.adds) {
-      added |= shared_->corpus.Add(std::move(add.prog), add.priority,
-                                   add.content_hash);
+      added |= shared_->corpus.Add(std::move(add.prog), add.priority);
     }
     if (added) {
       auto snap = shared_->corpus.Snapshot();

@@ -45,7 +45,7 @@ class ProgBuilder {
   // Arg nodes built by Generate/MutateInsert/MutateArgs go into `arena`
   // (nullptr → heap). The owner resets the arena between fuzzing
   // iterations; programs handed out must not outlive that reset unless
-  // re-cloned to heap (Prog::Clone()).
+  // serialized or re-cloned to heap (Prog::Clone()).
   void set_arena(ProgArena* arena);
   ProgArena* arena() const { return arena_; }
 

@@ -87,11 +87,12 @@ std::vector<uint8_t> FuzzShard::EmitGossip() {
     ++stats_.frames_emitted;
   }
 
-  // Programs archived since the last emit (including imports — the relay).
+  // Programs archived since the last emit (including imports — the relay),
+  // as the images the corpus stores.
   const Corpus& corpus = fuzzer_->corpus();
   std::vector<std::vector<uint8_t>> blobs;
   for (size_t i = corpus_cursor_; i < corpus.size(); ++i) {
-    blobs.push_back(SerializeProg(corpus.at(i)));
+    blobs.push_back(corpus.at(i).bytes());
   }
   corpus_cursor_ = corpus.size();
   if (!blobs.empty()) {
@@ -187,24 +188,22 @@ void FuzzShard::ApplyFrame(const GossipFrame& frame) {
       if (!blobs.ok()) {
         return;
       }
-      // Deserialize everything before mutating the corpus: a frame either
+      // Validate every image before mutating the corpus: a frame either
       // applies whole or not at all (partial application would make shard
       // state depend on *where* a bad blob sits, not just the frame set).
-      std::vector<Prog> progs;
-      std::vector<uint64_t> hashes;
+      DecodedImage image;
+      std::vector<size_t> calls;
+      calls.reserve(blobs->size());
       for (const std::vector<uint8_t>& blob : *blobs) {
-        Result<Prog> prog =
-            DeserializeProg(target_, blob.data(), blob.size());
-        if (!prog.ok()) {
+        if (!image.Decode(target_, blob.data(), blob.size()).ok()) {
           return;
         }
-        progs.push_back(std::move(*prog));
-        hashes.push_back(Corpus::ContentHash(blob));
+        calls.push_back(image.calls().size());
       }
-      for (size_t i = 0; i < progs.size(); ++i) {
-        if (fuzzer_->mutable_corpus()->Add(std::move(progs[i]),
-                                           kImportedSeedPriority,
-                                           hashes[i])) {
+      for (size_t i = 0; i < blobs->size(); ++i) {
+        if (fuzzer_->mutable_corpus()->Add(
+                StoredProg(target_, std::move((*blobs)[i]), calls[i]),
+                kImportedSeedPriority)) {
           ++stats_.seeds_imported;
         } else {
           ++stats_.seeds_duplicate;
@@ -243,15 +242,8 @@ std::vector<uint8_t> FuzzShard::CanonicalRelationBytes() const {
 }
 
 uint64_t FuzzShard::CorpusFingerprint() const {
-  const Corpus& corpus = fuzzer_->corpus();
-  std::vector<uint64_t> hashes;
-  hashes.reserve(corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    hashes.push_back(Corpus::ContentHash(corpus.at(i)));
-  }
-  std::sort(hashes.begin(), hashes.end());
   uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (uint64_t x : hashes) {
+  for (uint64_t x : fuzzer_->corpus().content_hashes()) {
     h = HashCombine(h, Mix64(x));
   }
   return h;

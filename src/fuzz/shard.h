@@ -102,7 +102,8 @@ class FuzzShard {
   std::vector<uint8_t> CanonicalRelationBytes() const;
 
   // Content fingerprint of the corpus: hash over the sorted content hashes
-  // of every program — independent of archive order.
+  // of every program — independent of archive order. Reads the hashes the
+  // corpus keeps.
   uint64_t CorpusFingerprint() const;
 
  private:

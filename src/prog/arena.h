@@ -13,8 +13,9 @@
 //  - Reset() invalidates every node handed out since the last Reset. The
 //    caller must ensure no arena-backed Arg is alive across a Reset; in the
 //    fuzzers this holds because candidates are Step-scoped and anything that
-//    survives into the corpus is deep-copied to heap storage first
-//    (minimizer/reproducer select it with SelectCalls into heap storage).
+//    survives the Step leaves the arena first: a corpus survivor is
+//    serialized into its StoredProg image (src/fuzz/corpus.h), and a
+//    reproducer is selected into heap storage with SelectCalls.
 //  - Chunks grow monotonically and are retained by Reset(), so a warmed
 //    arena never touches malloc again until a larger-than-ever program
 //    appears.

@@ -32,8 +32,9 @@ class ProgArena;
 
 struct Arg;
 
-// Args live either on the heap (corpus-owned programs) or in a ProgArena
-// (Step-scoped candidates). The deleter dispatches per node: arena nodes run
+// Args live either on the heap (reproducers, exported and loaded programs)
+// or in a ProgArena (Step-scoped candidates); the corpus keeps programs as
+// wire images, not trees. The deleter dispatches per node: arena nodes run
 // ~Arg() only — releasing heap members like `data`/`inner` — while the node
 // bytes are reclaimed wholesale by ProgArena::Reset().
 struct ArgDeleter {
@@ -131,8 +132,7 @@ class Prog {
 
   Prog Clone() const;
   // Deep copy with Arg nodes placed in `arena` (nullptr → heap). The copy
-  // must not outlive the arena's next Reset(); corpus admission paths clone
-  // back to heap (Clone()) before storing.
+  // must not outlive the arena's next Reset().
   Prog CloneInto(ProgArena* arena) const;
 
   // Removes call `index`. Resource args referring to it degrade to their

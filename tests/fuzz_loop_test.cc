@@ -2,6 +2,7 @@
 // loop and campaign determinism.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <map>
 #include <memory>
@@ -39,7 +40,7 @@ TEST(CorpusTest, AddChooseAndDedup) {
   EXPECT_TRUE(corpus.Add(prog.Clone(), 5));
   EXPECT_FALSE(corpus.Add(prog.Clone(), 5));  // Duplicate content.
   EXPECT_EQ(corpus.size(), 1u);
-  EXPECT_EQ(corpus.Choose(&rng).calls()[0].meta->name, "sync");
+  EXPECT_EQ(corpus.Choose(&rng).Clone().calls()[0].meta->name, "sync");
 }
 
 TEST(CorpusTest, FenwickChooseMatchesLinearScan) {
@@ -65,7 +66,7 @@ TEST(CorpusTest, FenwickChooseMatchesLinearScan) {
   }
   std::map<std::string, size_t> fenwick_picks;
   for (int trial = 0; trial < 2000; ++trial) {
-    fenwick_picks[corpus.Choose(&rng).calls()[0].meta->name] += 1;
+    fenwick_picks[corpus.Choose(&rng).Clone().calls()[0].meta->name] += 1;
   }
   // Distribution check: the heaviest entry (prio 13/35) must dominate the
   // lightest (prio 1/35) by far.
@@ -85,7 +86,7 @@ TEST(CorpusTest, UpdatePriorityReweightsSampling) {
   EXPECT_EQ(corpus.priority_at(0), 99u);
   size_t first = 0;
   for (int trial = 0; trial < 1000; ++trial) {
-    if (corpus.Choose(&rng).calls()[0].meta->name == "sync") {
+    if (corpus.Choose(&rng).Clone().calls()[0].meta->name == "sync") {
       ++first;
     }
   }
@@ -118,17 +119,76 @@ TEST(CorpusTest, SnapshotChoosesLikeLiveCorpus) {
 }
 
 TEST(CorpusTest, PrecomputedHashAddDedupsAgainstSerializedPath) {
+  // A StoredProg carries the content hash its builder computed (a worker
+  // outside the publish lock, a gossip import from the received bytes).
   const Target& target = BuiltinTarget();
   Rng rng(17);
   Corpus corpus;
   Prog prog = BuildChain(target, AllIds(target), {"sync"}, &rng);
   const std::vector<uint8_t> bytes = SerializeProg(prog);
-  ASSERT_TRUE(
-      corpus.Add(prog.Clone(), 5, Corpus::ContentHash(bytes)));
-  // The plain overload hashes the same serialized content → duplicate.
-  EXPECT_FALSE(corpus.Add(prog.Clone(), 5));
-  EXPECT_FALSE(corpus.Add(prog.Clone(), 5, Corpus::ContentHash(bytes)));
+  const StoredProg image(target, bytes, prog.size());
+  EXPECT_EQ(image.hash(), Corpus::ContentHash(bytes));
+  EXPECT_EQ(image.hash(), Corpus::ContentHash(prog));
+  ASSERT_TRUE(corpus.Add(image, 5));
+  // The Prog overload hashes the same serialized content → duplicate.
+  EXPECT_FALSE(corpus.Add(prog, 5));
+  EXPECT_FALSE(corpus.Add(StoredProg(prog), 5));
   EXPECT_EQ(corpus.size(), 1u);
+  EXPECT_EQ(corpus.at(0).bytes(), bytes);
+}
+
+// Heap bytes glibc's allocator has handed out. A sanitizer's allocator
+// bypasses glibc's, so mallinfo2 does not see its allocations.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(CorpusTest, StoredImagesCostAboutTheirWireBytes) {
+  {
+    const size_t before = HeapInUse();
+    std::vector<uint8_t> probe(64 << 10, 1);
+    if (HeapInUse() < before + probe.size()) {
+      GTEST_SKIP() << "the allocator does not report heap use";
+    }
+  }
+  // A few thousand campaign programs: the corpora of short campaigns.
+  const Target& target = BuiltinTarget();
+  std::vector<std::vector<uint8_t>> images;
+  for (uint64_t seed = 1; images.size() < 2000; ++seed) {
+    FuzzerOptions options;
+    options.seed = seed;
+    Fuzzer fuzzer(target, options);
+    for (int i = 0; i < 5000; ++i) {
+      fuzzer.Step();
+    }
+    for (size_t i = 0; i < fuzzer.corpus().size(); ++i) {
+      images.push_back(fuzzer.corpus().at(i).bytes());
+      // Decoding once here leaves the decoder's scratch at its final size.
+      ASSERT_TRUE(DeserializeProg(target, images.back().data(),
+                                  images.back().size())
+                      .ok());
+    }
+  }
+
+  // Only the corpus holds the programs: each tree dies after its Add.
+  const size_t before = HeapInUse();
+  Corpus corpus;
+  for (const std::vector<uint8_t>& bytes : images) {
+    Result<Prog> prog = DeserializeProg(target, bytes.data(), bytes.size());
+    ASSERT_TRUE(prog.ok());
+    corpus.Add(*prog, 1);
+  }
+  const size_t held = HeapInUse() - before;
+  size_t wire_bytes = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    wire_bytes += corpus.at(i).bytes().size();
+    EXPECT_EQ(SerializeProg(corpus.at(i).Clone()), corpus.at(i).bytes());
+  }
+  // Arg trees take about 3x their images; an entry at rest is its image
+  // plus a small fixed overhead.
+  EXPECT_LE(static_cast<double>(held), 1.5 * static_cast<double>(wire_bytes))
+      << corpus.size() << " programs";
 }
 
 TEST(CorpusTest, LengthHistogramBuckets) {
@@ -160,7 +220,8 @@ TEST(CorpusTest, WeightedChoiceFavorsPriority) {
   corpus.Add(BuildChain(target, AllIds(target), {"epoll_create1"}, &rng), 99);
   int heavy = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (corpus.Choose(&rng).calls()[0].meta->name == "epoll_create1") {
+    if (corpus.Choose(&rng).Clone().calls()[0].meta->name ==
+        "epoll_create1") {
       ++heavy;
     }
   }
@@ -422,7 +483,7 @@ TEST(CampaignTest, GoldenFingerprintUnchangedByHotPathRewrites) {
   }
   uint64_t corpus_hash = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < fuzzer.corpus().size(); ++i) {
-    const std::vector<uint8_t> bytes = SerializeProg(fuzzer.corpus().at(i));
+    const std::vector<uint8_t>& bytes = fuzzer.corpus().at(i).bytes();
     corpus_hash ^= Mix64(Fnv1a(std::string_view(
         reinterpret_cast<const char*>(bytes.data()), bytes.size())));
   }

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <set>
 
+#include "src/base/hash.h"
 #include "src/fuzz/gossip.h"
 #include "src/fuzz/shard.h"
+#include "src/prog/serialize.h"
 #include "src/syzlang/builtin_descs.h"
 
 namespace healer {
@@ -252,6 +254,73 @@ TEST(ShardedCampaignTest, GossipImportsCreditState) {
             before.coverage_bits_imported);
   EXPECT_EQ(b.stats().seeds_imported, before.seeds_imported);
   EXPECT_GT(b.stats().frames_replayed, before.frames_replayed);
+
+  // The fingerprint folds the hashes the corpus keeps; it must equal the
+  // fold over every entry decoded and serialized again.
+  const std::vector<Prog> progs = b.fuzzer().corpus().ExportAll();
+  ASSERT_EQ(progs.size(), b.fuzzer().corpus().size());
+  std::vector<uint64_t> hashes;
+  for (const Prog& prog : progs) {
+    hashes.push_back(Corpus::ContentHash(SerializeProg(prog)));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  uint64_t fingerprint = 0x9e3779b97f4a7c15ULL;
+  for (uint64_t h : hashes) {
+    fingerprint = HashCombine(fingerprint, Mix64(h));
+  }
+  EXPECT_EQ(b.CorpusFingerprint(), fingerprint);
+}
+
+// A seeds frame applies whole or not at all: one blob that is not a valid
+// HEA1 program drops the frame, however many good blobs surround it.
+TEST(ShardedCampaignTest, SeedsFrameWithOneInvalidBlobAppliesNothing) {
+  const Target& target = BuiltinTarget();
+  FuzzerOptions base;
+  base.num_vms = 2;
+  FuzzShard origin(target, base, 0);
+  origin.RunExecs(200);
+  const Corpus& corpus = origin.fuzzer().corpus();
+  ASSERT_GE(corpus.size(), 2u);
+  std::vector<uint8_t> truncated = corpus.at(1).bytes();
+  truncated.pop_back();
+  const std::vector<std::vector<uint8_t>> good = {corpus.at(0).bytes(),
+                                                  corpus.at(1).bytes()};
+  const std::vector<std::vector<uint8_t>> bad = {corpus.at(0).bytes(),
+                                                 truncated,
+                                                 corpus.at(1).bytes()};
+
+  FuzzerOptions receiver_options = base;
+  receiver_options.seed = 77;
+  FuzzShard receiver(target, receiver_options, 1);
+  receiver.RunExecs(50);
+  auto deliver = [&](const std::vector<std::vector<uint8_t>>& blobs,
+                     uint64_t seq) {
+    GossipFrame frame;
+    frame.type = GossipFrameType::kSeeds;
+    frame.origin = 0;
+    frame.seq = seq;
+    frame.payload = EncodeSeedsPayload(blobs);
+    std::vector<uint8_t> bytes;
+    AppendGossipFrame(frame, &bytes);
+    ASSERT_TRUE(receiver.Ingest(bytes.data(), bytes.size()).ok());
+    EXPECT_EQ(receiver.ApplyInbox(), 1u);
+  };
+
+  const size_t corpus_before = receiver.fuzzer().corpus().size();
+  const ShardStats before = receiver.stats();
+  deliver(bad, 0);
+  EXPECT_EQ(receiver.fuzzer().corpus().size(), corpus_before);
+  EXPECT_EQ(receiver.stats().seeds_imported, before.seeds_imported);
+  EXPECT_EQ(receiver.stats().seeds_duplicate, before.seeds_duplicate);
+
+  // The same programs without the bad blob land.
+  deliver(good, 1);
+  EXPECT_EQ(receiver.stats().seeds_imported +
+                receiver.stats().seeds_duplicate,
+            before.seeds_imported + before.seeds_duplicate + 2);
+  EXPECT_EQ(receiver.fuzzer().corpus().size(),
+            corpus_before + receiver.stats().seeds_imported -
+                before.seeds_imported);
 }
 
 TEST(ShardedCampaignTest, CanonicalRelationBytesIgnoreLearnOrder) {
