@@ -1,14 +1,13 @@
 // Hot-path memory benchmarks (DESIGN.md §11): heap allocations per generated
-// program with and without the ProgArena, two-level vs flat-scan bitmap
-// merge, and corpus warm-start latency for the legacy stream vs the HCORP1
-// mmap container. scripts/check.sh's `hotpath` stage enforces the arena's
-// >=2x allocation reduction and the summary-guided merge's >=4x sparse
-// speedup from BENCH_hotpath.json.
+// program with and without the ProgArena, and corpus warm-start latency for
+// the legacy stream vs the HCORP1 mmap container. scripts/check.sh's
+// `hotpath` stage enforces the arena's >=2x allocation reduction, its
+// generation-time ceiling and HCORP1's warm-start floor from
+// BENCH_hotpath.json.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,11 +18,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/base/bitmap.h"
 #include "src/base/rng.h"
 #include "src/fuzz/corpus_io.h"
 #include "src/fuzz/prog_builder.h"
-#include "src/kernel/coverage.h"
 #include "src/prog/arena.h"
 #include "src/prog/serialize.h"
 #include "src/syzlang/builtin_descs.h"
@@ -125,46 +122,29 @@ struct GenLoop {
   }
 };
 
-// Flat full-scan MergeNew: what Bitmap did before the summary index. Kept
-// as the in-bench reference so the speedup is measured against the real
-// former algorithm, word loop for word loop.
-struct FlatBitmapRef {
-  std::vector<uint64_t> words;
-  explicit FlatBitmapRef(size_t bits) : words((bits + 63) / 64, 0) {}
-  void Set(size_t idx) { words[idx >> 6] |= 1ULL << (idx & 63); }
-  size_t MergeNew(const FlatBitmapRef& other) {
-    size_t fresh = 0;
-    for (size_t i = 0; i < words.size(); ++i) {
-      const uint64_t add = other.words[i] & ~words[i];
-      if (add != 0) {
-        words[i] |= add;
-        fresh += static_cast<size_t>(std::popcount(add));
-      }
+// Writes `progs` as the legacy HCOR stream, which LoadProgs still reads but
+// nothing in the library writes: magic, u32 count, then per program u32
+// length + SerializeProg bytes.
+bool WriteLegacyCorpus(const std::string& path,
+                       const std::vector<Prog>& progs) {
+  std::vector<uint8_t> bytes = {'H', 'C', 'O', 'R'};
+  const auto put_u32 = [&bytes](size_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
-    return fresh;
+  };
+  put_u32(progs.size());
+  for (const Prog& prog : progs) {
+    const std::vector<uint8_t> blob = SerializeProg(prog);
+    put_u32(blob.size());
+    bytes.insert(bytes.end(), blob.begin(), blob.end());
   }
-};
-
-// Picks `occupied` distinct payload words and sets one bit in each — the
-// shape of a per-call coverage map (a syscall touches a handful of hashed
-// slots scattered across the 1024-word map).
-template <typename MapT>
-MapT MakeSparse(size_t bits, size_t occupied, uint64_t seed) {
-  MapT map(bits);
-  Rng rng(seed);
-  const size_t words = bits / 64;
-  std::vector<uint8_t> used(words, 0);
-  size_t placed = 0;
-  while (placed < occupied) {
-    const size_t w = rng.Below(words);
-    if (used[w]) {
-      continue;
-    }
-    used[w] = 1;
-    map.Set(w * 64 + rng.Below(64));
-    ++placed;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return false;
   }
-  return map;
+  const bool ok = std::fwrite(bytes.data(), bytes.size(), 1, f) == 1;
+  return std::fclose(f) == 0 && ok;
 }
 
 std::vector<Prog> BuildCorpus(size_t count) {
@@ -208,35 +188,13 @@ BENCHMARK(BM_GenerateProgram)
     ->Arg(1)  // Arena-backed, Reset per candidate.
     ->Unit(benchmark::kMicrosecond);
 
-void BM_BitmapMergeSparse16(benchmark::State& state) {
-  Bitmap global(CallCoverage::kMapBits);
-  const Bitmap sparse =
-      MakeSparse<Bitmap>(CallCoverage::kMapBits, 16, 11);
-  global.MergeNew(sparse);  // Steady state: nothing fresh left.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(global.MergeNew(sparse));
-  }
-}
-BENCHMARK(BM_BitmapMergeSparse16);
-
-void BM_BitmapMergeSparse16FlatRef(benchmark::State& state) {
-  FlatBitmapRef global(CallCoverage::kMapBits);
-  const FlatBitmapRef sparse =
-      MakeSparse<FlatBitmapRef>(CallCoverage::kMapBits, 16, 11);
-  global.MergeNew(sparse);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(global.MergeNew(sparse));
-  }
-}
-BENCHMARK(BM_BitmapMergeSparse16FlatRef);
-
 void BM_CorpusWarmStart(benchmark::State& state) {
-  const CorpusFormat format =
-      state.range(0) == 1 ? CorpusFormat::kHcorp1 : CorpusFormat::kLegacy;
+  const bool hcorp1 = state.range(0) == 1;
   const std::string path = std::string("/tmp/healer_bench_warmstart_") +
-                           CorpusFormatName(format) + ".bin";
+                           (hcorp1 ? "hcorp1" : "legacy") + ".bin";
   const std::vector<Prog> corpus = BuildCorpus(512);
-  if (!SaveProgs(path, corpus, format).ok()) {
+  if (!(hcorp1 ? SaveProgs(path, corpus).ok()
+               : WriteLegacyCorpus(path, corpus))) {
     state.SkipWithError("save failed");
     return;
   }
@@ -291,51 +249,6 @@ void WriteHotpathJson() {
   const double arena_allocs = static_cast<double>(arena_alloc_total) /
                               static_cast<double>(kGenBlock * kGenRounds);
 
-  // Steady-state MergeNew of a 16-word per-call map into a warmed global
-  // map: the dominant bitmap operation of a campaign (most executions find
-  // nothing new). The flat reference is the pre-summary algorithm.
-  constexpr size_t kMergeIters = 200000;
-  Bitmap global(CallCoverage::kMapBits);
-  const Bitmap sparse = MakeSparse<Bitmap>(CallCoverage::kMapBits, 16, 11);
-  global.MergeNew(sparse);
-  const double merge_twolevel_ns = TimeNs(kMergeIters, [&] {
-    benchmark::DoNotOptimize(global.MergeNew(sparse));
-  });
-  FlatBitmapRef flat_global(CallCoverage::kMapBits);
-  const FlatBitmapRef flat_sparse =
-      MakeSparse<FlatBitmapRef>(CallCoverage::kMapBits, 16, 11);
-  flat_global.MergeNew(flat_sparse);
-  const double merge_flat_ns = TimeNs(kMergeIters, [&] {
-    benchmark::DoNotOptimize(flat_global.MergeNew(flat_sparse));
-  });
-
-  // Dense merge (every word occupied) for context: here the summary cannot
-  // skip anything, so the two paths should be comparable.
-  Bitmap dense_global(CallCoverage::kMapBits);
-  Bitmap dense_src(CallCoverage::kMapBits);
-  FlatBitmapRef dense_flat_global(CallCoverage::kMapBits);
-  FlatBitmapRef dense_flat_src(CallCoverage::kMapBits);
-  for (size_t i = 0; i < CallCoverage::kMapBits; i += 64) {
-    dense_src.Set(i + (i / 64) % 64);
-    dense_flat_src.Set(i + (i / 64) % 64);
-  }
-  dense_global.MergeNew(dense_src);
-  dense_flat_global.MergeNew(dense_flat_src);
-  constexpr size_t kDenseBlock = 10000;
-  constexpr size_t kDenseRounds = 8;
-  double merge_dense_twolevel_ns = 1e18;
-  double merge_dense_flat_ns = 1e18;
-  for (size_t round = 0; round < kDenseRounds; ++round) {
-    const double two = TimeNs(kDenseBlock, [&] {
-      benchmark::DoNotOptimize(dense_global.MergeNew(dense_src));
-    });
-    const double flat = TimeNs(kDenseBlock, [&] {
-      benchmark::DoNotOptimize(dense_flat_global.MergeNew(dense_flat_src));
-    });
-    if (two < merge_dense_twolevel_ns) merge_dense_twolevel_ns = two;
-    if (flat < merge_dense_flat_ns) merge_dense_flat_ns = flat;
-  }
-
   // Corpus warm start: 512 programs through each container. Decode cost is
   // shared; the delta is container I/O (per-entry freads + per-entry heap
   // buffers vs one mmap and in-place slices).
@@ -344,8 +257,8 @@ void WriteHotpathJson() {
   const std::string hcorp_path = "/tmp/healer_bench_warmstart_hcorp1.bin";
   double warm_legacy_ms = 1e18;
   double warm_hcorp_ms = 1e18;
-  if (SaveProgs(legacy_path, corpus, CorpusFormat::kLegacy).ok() &&
-      SaveProgs(hcorp_path, corpus, CorpusFormat::kHcorp1).ok()) {
+  if (WriteLegacyCorpus(legacy_path, corpus) &&
+      SaveProgs(hcorp_path, corpus).ok()) {
     const auto load_ms = [](const std::string& path) {
       return TimeNs(1, [&] {
                Result<std::vector<Prog>> loaded =
@@ -377,17 +290,6 @@ void WriteHotpathJson() {
           {"gen_ns_arena", gen_ns_arena},
           {"gen_time_ratio",
            gen_ns_heap > 0.0 ? gen_ns_arena / gen_ns_heap : 0.0},
-          {"merge_ns_sparse16_twolevel", merge_twolevel_ns},
-          {"merge_ns_sparse16_flat_ref", merge_flat_ns},
-          {"merge_sparse16_speedup", merge_twolevel_ns > 0.0
-                                         ? merge_flat_ns / merge_twolevel_ns
-                                         : 0.0},
-          {"merge_ns_dense_twolevel", merge_dense_twolevel_ns},
-          {"merge_ns_dense_flat_ref", merge_dense_flat_ns},
-          {"merge_dense_ratio", merge_dense_flat_ns > 0.0
-                                    ? merge_dense_twolevel_ns /
-                                          merge_dense_flat_ns
-                                    : 0.0},
           {"warmstart_legacy_ms", warm_legacy_ms},
           {"warmstart_hcorp1_ms", warm_hcorp_ms},
           {"warmstart_speedup",

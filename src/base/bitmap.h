@@ -5,25 +5,13 @@
 // how many previously-unseen slots the merge contributed, which is the
 // "new coverage" signal consumed by the fuzzers.
 //
-// Two-level layout: alongside the payload words the bitmap maintains a
-// summary index with one bit per payload word (bit w set ⇔ words_[w] != 0;
-// 16 summary words cover the 1024-word coverage map). MergeNew/HasNewBits
-// walk only the occupied words of the source — a per-call map that touched
-// a handful of slots merges in a handful of visits instead of a full
-// 8 KiB scan. The summary is conservative-exact: a bit is set by whichever
-// thread first lands a payload bit in that word, and only Clear() resets it.
-//
-// Dense escape hatch: the ctz-driven summary walk wins big on sparse
-// sources but loses to a straight word loop once most payload words are
-// occupied (the per-bit ctz/clear bookkeeping buys no skipping and defeats
-// instruction-level parallelism). MergeNew tracks source occupancy with an
-// O(1) counter and switches to an unrolled linear scan above
-// kDenseMergeThreshold — bench_hotpath guards that the dense case stays
-// within 1.1x of the flat-scan reference while the sparse case keeps its
-// ~20x win.
+// Layout: one flat array of 64-bit words. Executors credit a call's
+// coverage one Set() per touched slot; MergeNew unions whole maps (a shard
+// round's union, the campaign's final union) in one word loop that does a
+// read-modify-write only on words with fresh bits.
 //
 // Word granularity is also the unit of cross-shard coverage gossip
-// (DESIGN.md §13): ForEachOccupiedWord exports the occupied (index, value)
+// (DESIGN.md §13): ForEachOccupiedWord exports the nonzero (index, value)
 // pairs of a quiescent bitmap, and OrWord merges one received word with the
 // same exactly-once fresh-bit credit as MergeNew.
 //
@@ -41,22 +29,19 @@
 #ifndef SRC_BASE_BITMAP_H_
 #define SRC_BASE_BITMAP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 namespace healer {
 
 class Bitmap {
  public:
-  explicit Bitmap(size_t bits)
-      : bits_(bits),
-        words_((bits + 63) / 64, 0),
-        summary_((words_.size() + 63) / 64, 0) {}
+  explicit Bitmap(size_t bits) : bits_(bits), words_((bits + 63) / 64, 0) {}
 
   // Bitmaps participating in a merge/compare must be the same size; a
   // mismatch means two different coverage spaces are being mixed, which
@@ -72,37 +57,20 @@ class Bitmap {
   size_t size_bits() const { return bits_; }
 
   bool Test(size_t idx) const {
-    return (std::atomic_ref<const uint64_t>(words_[idx >> 6])
-                .load(std::memory_order_relaxed) >>
-            (idx & 63)) &
-           1;
+    return (Word(idx >> 6) >> (idx & 63)) & 1;
   }
 
   // Sets the bit; returns true iff it was previously clear. Safe against
   // concurrent Set/MergeNew on the same bitmap: exactly one caller wins a
   // fresh bit.
   bool Set(size_t idx) {
-    std::atomic_ref<uint64_t> word(words_[idx >> 6]);
-    const uint64_t mask = 1ULL << (idx & 63);
-    if (word.load(std::memory_order_relaxed) & mask) {
-      return false;
-    }
-    const uint64_t prev = word.fetch_or(mask, std::memory_order_relaxed);
-    if (prev & mask) {
-      return false;  // Another thread set it between the load and the RMW.
-    }
-    MarkSummary(idx >> 6);
-    std::atomic_ref<size_t>(popcount_).fetch_add(1,
-                                                 std::memory_order_relaxed);
-    return true;
+    return Credit(OrBits(idx >> 6, 1ULL << (idx & 63))) != 0;
   }
 
   void Clear() {
     CheckQuiescent("Clear");
     std::fill(words_.begin(), words_.end(), 0);
-    std::fill(summary_.begin(), summary_.end(), 0);
     popcount_ = 0;
-    occupied_words_ = 0;
   }
 
   // Number of set bits. O(1).
@@ -112,78 +80,15 @@ class Bitmap {
   }
 
   // ORs `other` in; returns the number of bits newly set in *this. `other`
-  // must be quiescent (typically a worker-local per-call map); *this may be
-  // merged into concurrently. Visits only `other`'s occupied words, guided
-  // by its summary index.
+  // must be quiescent; *this may be merged into concurrently.
   size_t MergeNew(const Bitmap& other) {
     CheckSameSize(*this, other);
     MergeScope in_flight(this);
-    // Dense source: most payload words occupied, so the summary cannot skip
-    // anything — take the straight word loop instead of the per-bit walk.
-    if (other.OccupiedWords() * kDenseMergeThreshold >= other.words_.size()) {
-      return MergeNewDense(other);
-    }
     size_t fresh = 0;
-    for (size_t s = 0; s < other.summary_.size(); ++s) {
-      uint64_t sw = other.summary_[s];
-      while (sw != 0) {
-        const size_t i =
-            (s << 6) + static_cast<size_t>(std::countr_zero(sw));
-        sw &= sw - 1;
-        const uint64_t theirs = other.words_[i];
-        std::atomic_ref<uint64_t> word(words_[i]);
-        uint64_t add = theirs & ~word.load(std::memory_order_relaxed);
-        if (add == 0) {
-          continue;
-        }
-        const uint64_t prev = word.fetch_or(add, std::memory_order_relaxed);
-        add &= ~prev;  // Bits a concurrent merger beat us to are not ours.
-        if (add != 0) {
-          MarkSummary(i);
-          fresh += static_cast<size_t>(std::popcount(add));
-        }
-      }
+    for (size_t i = 0; i < words_.size(); ++i) {
+      fresh += OrBits(i, other.words_[i]);
     }
-    if (fresh != 0) {
-      std::atomic_ref<size_t>(popcount_).fetch_add(fresh,
-                                                   std::memory_order_relaxed);
-    }
-    return fresh;
-  }
-
-  // True iff `other` has at least one bit not present in *this. Both
-  // bitmaps must be quiescent (analysis/test paths): the dense-block scan
-  // below uses plain word loads so the compiler can vectorize it.
-  bool HasNewBits(const Bitmap& other) const {
-    CheckSameSize(*this, other);
-    for (size_t s = 0; s < other.summary_.size(); ++s) {
-      const uint64_t sw = other.summary_[s];
-      if (sw == 0) {
-        continue;
-      }
-      const size_t base = s << 6;
-      if (sw == ~0ULL && base + 64 <= words_.size()) {
-        // Fully-occupied block: a branch-free OR-reduction over 64 plain
-        // uint64_t lanes (autovectorizes; see bench_hotpath).
-        uint64_t acc = 0;
-        for (size_t i = 0; i < 64; ++i) {
-          acc |= other.words_[base + i] & ~words_[base + i];
-        }
-        if (acc != 0) {
-          return true;
-        }
-        continue;
-      }
-      uint64_t bitset = sw;
-      while (bitset != 0) {
-        const size_t i = base + static_cast<size_t>(std::countr_zero(bitset));
-        bitset &= bitset - 1;
-        if ((other.words_[i] & ~words_[i]) != 0) {
-          return true;
-        }
-      }
-    }
-    return false;
+    return Credit(fresh);
   }
 
   bool operator==(const Bitmap& other) const {
@@ -193,8 +98,7 @@ class Bitmap {
   }
 
   // Stable content checksum (tests use it to prove a faulted execution left
-  // the campaign bitmap untouched). Quiescent-only; the hash is over the
-  // payload words, so it is layout-stable across the summary-index change.
+  // the campaign bitmap untouched). Quiescent-only.
   uint64_t Hash() const {
     CheckQuiescent("Hash");
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -205,14 +109,6 @@ class Bitmap {
     return h;
   }
 
-  // Exposed for tests: the summary word covering payload words
-  // [idx*64, idx*64+64).
-  uint64_t SummaryWord(size_t idx) const {
-    return std::atomic_ref<const uint64_t>(summary_[idx])
-        .load(std::memory_order_relaxed);
-  }
-  size_t SummaryWords() const { return summary_.size(); }
-
   // ---- word-granular export/import (cross-shard coverage gossip) ----
 
   size_t WordCount() const { return words_.size(); }
@@ -222,28 +118,14 @@ class Bitmap {
         .load(std::memory_order_relaxed);
   }
 
-  // Number of nonzero payload words. O(1); exact for quiescent bitmaps
-  // (the counter is bumped by whichever thread first occupies a word).
-  size_t OccupiedWords() const {
-    return std::atomic_ref<const size_t>(occupied_words_)
-        .load(std::memory_order_relaxed);
-  }
-
-  // Invokes `fn(word_index, word_value)` for every occupied payload word,
-  // ascending, guided by the summary index. The bitmap should be quiescent
-  // (a concurrent merge's bits may or may not be seen, never torn words).
+  // Invokes `fn(word_index, word_value)` for every nonzero word, ascending.
+  // The bitmap should be quiescent (a concurrent merge's bits may or may not
+  // be seen, never torn words).
   template <typename Fn>
   void ForEachOccupiedWord(Fn&& fn) const {
-    for (size_t s = 0; s < summary_.size(); ++s) {
-      uint64_t sw = std::atomic_ref<const uint64_t>(summary_[s])
-                        .load(std::memory_order_relaxed);
-      while (sw != 0) {
-        const size_t i = (s << 6) + static_cast<size_t>(std::countr_zero(sw));
-        sw &= sw - 1;
-        const uint64_t w = Word(i);
-        if (w != 0) {
-          fn(i, w);
-        }
+    for (size_t i = 0; i < words_.size(); ++i) {
+      if (const uint64_t w = Word(i); w != 0) {
+        fn(i, w);
       }
     }
   }
@@ -252,66 +134,25 @@ class Bitmap {
   // newly set, with the same exactly-once credit as MergeNew. Safe against
   // concurrent Set/MergeNew/OrWord on *this.
   size_t OrWord(size_t idx, uint64_t value) {
-    if (value == 0 || idx >= words_.size()) {
-      return 0;
-    }
-    std::atomic_ref<uint64_t> word(words_[idx]);
+    return idx < words_.size() ? Credit(OrBits(idx, value)) : 0;
+  }
+
+ private:
+  // ORs `value` into word `i`; returns how many of its bits this thread
+  // set. The read-modify-write runs only when `value` has bits the word
+  // lacks, and bits a concurrent writer beat us to are not ours.
+  size_t OrBits(size_t i, uint64_t value) {
+    std::atomic_ref<uint64_t> word(words_[i]);
     uint64_t add = value & ~word.load(std::memory_order_relaxed);
     if (add == 0) {
       return 0;
     }
-    const uint64_t prev = word.fetch_or(add, std::memory_order_relaxed);
-    add &= ~prev;
-    if (add == 0) {
-      return 0;
-    }
-    MarkSummary(idx);
-    const size_t fresh = static_cast<size_t>(std::popcount(add));
-    std::atomic_ref<size_t>(popcount_).fetch_add(fresh,
-                                                 std::memory_order_relaxed);
-    return fresh;
+    add &= ~word.fetch_or(add, std::memory_order_relaxed);
+    return static_cast<size_t>(std::popcount(add));
   }
 
- private:
-  // MergeNew switches to the linear scan when at least 1/kDenseMergeThreshold
-  // of the source's payload words are occupied (the summary walk's per-bit
-  // bookkeeping stops paying for itself around 50% occupancy).
-  static constexpr size_t kDenseMergeThreshold = 2;
-
-  // Straight word loop over the whole map, 4-wide unrolled: the common
-  // nothing-fresh case reduces to loads + and-nots + one branch per four
-  // words, which is what lets the dense case stay within 1.1x of the plain
-  // pre-summary scan (bench_hotpath merge_dense_ratio guard).
-  size_t MergeNewDense(const Bitmap& other) {
-    size_t fresh = 0;
-    const size_t n = words_.size();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const uint64_t a0 =
-          other.words_[i] &
-          ~std::atomic_ref<const uint64_t>(words_[i]).load(
-              std::memory_order_relaxed);
-      const uint64_t a1 =
-          other.words_[i + 1] &
-          ~std::atomic_ref<const uint64_t>(words_[i + 1]).load(
-              std::memory_order_relaxed);
-      const uint64_t a2 =
-          other.words_[i + 2] &
-          ~std::atomic_ref<const uint64_t>(words_[i + 2]).load(
-              std::memory_order_relaxed);
-      const uint64_t a3 =
-          other.words_[i + 3] &
-          ~std::atomic_ref<const uint64_t>(words_[i + 3]).load(
-              std::memory_order_relaxed);
-      if ((a0 | a1 | a2 | a3) != 0) {
-        for (size_t k = i; k < i + 4; ++k) {
-          fresh += MergeWordSlow(k, other.words_[k]);
-        }
-      }
-    }
-    for (; i < n; ++i) {
-      fresh += MergeWordSlow(i, other.words_[i]);
-    }
+  // Adds `fresh` won bits to the population count; returns `fresh`.
+  size_t Credit(size_t fresh) {
     if (fresh != 0) {
       std::atomic_ref<size_t>(popcount_).fetch_add(fresh,
                                                    std::memory_order_relaxed);
@@ -319,40 +160,9 @@ class Bitmap {
     return fresh;
   }
 
-  // One word of the merge on the fresh path: RMW, credit only the bits this
-  // thread won.
-  size_t MergeWordSlow(size_t i, uint64_t theirs) {
-    std::atomic_ref<uint64_t> word(words_[i]);
-    uint64_t add = theirs & ~word.load(std::memory_order_relaxed);
-    if (add == 0) {
-      return 0;
-    }
-    const uint64_t prev = word.fetch_or(add, std::memory_order_relaxed);
-    add &= ~prev;
-    if (add == 0) {
-      return 0;
-    }
-    MarkSummary(i);
-    return static_cast<size_t>(std::popcount(add));
-  }
-
-  // Records "payload word `word` is nonzero". Idempotent; called only on
-  // the fresh-bit path, so the extra RMW is off the already-seen fast path.
-  // The occupancy counter is credited to whichever thread wins the summary
-  // bit, keeping OccupiedWords() exact (it drives the dense-merge dispatch).
-  void MarkSummary(size_t word) {
-    const uint64_t mask = 1ULL << (word & 63);
-    const uint64_t prev = std::atomic_ref<uint64_t>(summary_[word >> 6])
-                              .fetch_or(mask, std::memory_order_relaxed);
-    if ((prev & mask) == 0) {
-      std::atomic_ref<size_t>(occupied_words_)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   // Quiescence contract for Clear/Hash/operator==: these walk the words
   // non-atomically, so running them concurrently with a MergeNew into this
-  // bitmap would read torn state and (for Clear) lose the summary/payload
+  // bitmap would read torn state and (for Clear) lose the word/count
   // pairing. The in-flight counter makes the contract violation loud
   // instead of silently corrupting coverage accounting.
   void CheckQuiescent(const char* op) const {
@@ -385,13 +195,7 @@ class Bitmap {
 
   size_t bits_;
   std::vector<uint64_t> words_;
-  // One bit per payload word; bit w set ⇔ words_[w] != 0 (never reset
-  // except by Clear, so it is exact for quiescent bitmaps).
-  std::vector<uint64_t> summary_;
   size_t popcount_ = 0;
-  // Number of nonzero payload words (== popcount of summary_); maintained by
-  // MarkSummary, reset by Clear. Drives the dense-merge dispatch.
-  size_t occupied_words_ = 0;
   // Number of MergeNew calls currently running against this bitmap; a
   // transient value, meaningful only while threads are live (a copied
   // quiescent bitmap starts at 0 by definition).

@@ -178,8 +178,7 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
 
   if (!options.save_corpus_path.empty()) {
     const Status saved =
-        SaveProgs(options.save_corpus_path, fuzzer.corpus().ExportAll(),
-                  options.corpus_format);
+        SaveProgs(options.save_corpus_path, fuzzer.corpus().ExportAll());
     if (!saved.ok()) {
       LOG_WARNING << "failed to save corpus: " << saved.ToString();
     }

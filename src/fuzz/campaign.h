@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/fuzz/corpus_io.h"
 #include "src/fuzz/fuzzer.h"
 
 namespace healer {
@@ -38,13 +37,11 @@ struct CampaignOptions {
   // campaigns stay pure functions of (options, seed, plan).
   FaultPlan fault_plan;
   RecoveryPolicy recovery;
-  // Optional corpus persistence: seed programs loaded before fuzzing, and
-  // the final corpus written after it. Loading auto-detects the container
-  // format; `corpus_format` selects what save_corpus_path is written as
-  // (hcorp1 = mmap-able page-aligned container for instant warm restart).
+  // Optional corpus persistence: seed programs loaded before fuzzing
+  // (either container, auto-detected), and the final corpus written after
+  // it as HCORP1.
   std::string initial_corpus_path;
   std::string save_corpus_path;
-  CorpusFormat corpus_format = CorpusFormat::kLegacy;
   // Optional relation persistence: edges from a previous campaign loaded
   // into the table before fuzzing (warm start), and the final table written
   // after it (RelationTable::SaveToFile name-pair format).

@@ -46,10 +46,6 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-bool WriteU32(std::FILE* f, uint32_t v) {
-  return std::fwrite(&v, 4, 1, f) == 1;
-}
-
 bool ReadU32(std::FILE* f, uint32_t* v) {
   return std::fread(v, 4, 1, f) == 1;
 }
@@ -131,6 +127,7 @@ class MappedFile {
     map_base_ = other.map_base_;
     data_ = other.data_;
     size_ = other.size_;
+    dropped_ = other.dropped_;
     fallback_ = std::move(other.fallback_);
     if (!fallback_.empty()) {
       data_ = fallback_.data();
@@ -147,7 +144,23 @@ class MappedFile {
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
 
+  // Drops the mapped pages below `end`, rounded down to kDropChunk, so a
+  // front-to-back reader keeps a bounded window of the file resident
+  // instead of all of it. Reading a dropped page faults it back in from
+  // the file. A no-op for the heap fallback.
+  void DropBelow(size_t end) {
+    end &= ~(kDropChunk - 1);
+    if (map_base_ != nullptr && end > dropped_) {
+      ::madvise(static_cast<uint8_t*>(map_base_) + dropped_, end - dropped_,
+                MADV_DONTNEED);
+      dropped_ = end;
+    }
+  }
+
  private:
+  // A multiple of every page size in use, so each drop is page-aligned.
+  static constexpr size_t kDropChunk = 256 << 10;
+
   void Unmap() {
     if (map_base_ != nullptr) {
       ::munmap(map_base_, size_);
@@ -158,89 +171,9 @@ class MappedFile {
   void* map_base_ = nullptr;
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
+  size_t dropped_ = 0;  // Mapping bytes [0, dropped_) already dropped.
   std::vector<uint8_t> fallback_;
 };
-
-Status SaveLegacy(const std::string& path, const std::vector<Prog>& progs) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Internal(StrFormat("cannot open '%s' for writing", path.c_str()));
-  }
-  if (std::fwrite(kMagic, 4, 1, file.get()) != 1 ||
-      !WriteU32(file.get(), static_cast<uint32_t>(progs.size()))) {
-    return Internal("short write");
-  }
-  for (const Prog& prog : progs) {
-    const std::vector<uint8_t> bytes = SerializeProg(prog);
-    if (!WriteU32(file.get(), static_cast<uint32_t>(bytes.size())) ||
-        (!bytes.empty() &&
-         std::fwrite(bytes.data(), bytes.size(), 1, file.get()) != 1)) {
-      return Internal("short write");
-    }
-  }
-  return OkStatus();
-}
-
-Status SaveHcorp1(const std::string& path, const std::vector<Prog>& progs) {
-  // Serialize all payloads first so the index (offsets, lengths, checksums)
-  // is known before any byte is laid down.
-  std::vector<std::vector<uint8_t>> payloads;
-  payloads.reserve(progs.size());
-  uint64_t payload_len = 0;
-  for (const Prog& prog : progs) {
-    payloads.push_back(SerializeProg(prog));
-    payload_len += payloads.back().size();
-  }
-  const uint64_t count = payloads.size();
-  const uint64_t index_off = kHcorpHeaderBytes;
-  const uint64_t index_len = count * kHcorpEntryBytes;
-  const uint64_t payload_off =
-      (index_off + index_len + kHcorpPageSize - 1) & ~(kHcorpPageSize - 1);
-
-  std::vector<uint8_t> index;
-  index.reserve(index_len);
-  uint64_t offset = 0;
-  for (const auto& bytes : payloads) {
-    PutU64(&index, offset);
-    PutU32(&index, static_cast<uint32_t>(bytes.size()));
-    PutU32(&index, static_cast<uint32_t>(BytesHash(bytes.data(),
-                                                   bytes.size())));
-    offset += bytes.size();
-  }
-
-  std::vector<uint8_t> header;
-  header.reserve(kHcorpHeaderBytes);
-  header.insert(header.end(), kHcorpMagic, kHcorpMagic + 8);
-  PutU32(&header, kHcorpVersion);
-  PutU32(&header, static_cast<uint32_t>(kHcorpPageSize));
-  PutU64(&header, count);
-  PutU64(&header, index_off);
-  PutU64(&header, payload_off);
-  PutU64(&header, payload_len);
-  PutU64(&header, BytesHash(index.data(), index.size()));
-  PutU64(&header, BytesHash(header.data(), header.size()));
-
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Internal(StrFormat("cannot open '%s' for writing", path.c_str()));
-  }
-  // Header, index, zero padding to the payload page boundary, payloads.
-  // One deterministic byte stream: saving the same corpus twice produces
-  // byte-identical files (tests pin this).
-  std::vector<uint8_t> out;
-  out.reserve(payload_off + payload_len);
-  out.insert(out.end(), header.begin(), header.end());
-  out.insert(out.end(), index.begin(), index.end());
-  out.resize(payload_off, 0);
-  for (const auto& bytes : payloads) {
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  if (!out.empty() &&
-      std::fwrite(out.data(), out.size(), 1, file.get()) != 1) {
-    return Internal("short write");
-  }
-  return OkStatus();
-}
 
 Result<std::vector<Prog>> LoadLegacy(const std::string& path,
                                      const Target& target, size_t* skipped) {
@@ -300,7 +233,7 @@ Result<std::vector<Prog>> LoadLegacy(const std::string& path,
   return progs;
 }
 
-Result<std::vector<Prog>> LoadHcorp1(const MappedFile& file,
+Result<std::vector<Prog>> LoadHcorp1(MappedFile& file,
                                      const std::string& path,
                                      const Target& target, size_t* skipped) {
   const uint8_t* base = file.data();
@@ -373,6 +306,8 @@ Result<std::vector<Prog>> LoadHcorp1(const MappedFile& file,
           static_cast<unsigned long long>(i)));
     }
     prev_end = offset + len;
+    // Entries ascend, so every payload byte below this one has been read.
+    file.DropBelow(payload_off + offset);
     if (static_cast<uint32_t>(BytesHash(payload + offset, len)) != checksum) {
       return ParseError(StrFormat(
           "'%s': hcorp1 entry %llu payload checksum mismatch", path.c_str(),
@@ -395,37 +330,64 @@ Result<std::vector<Prog>> LoadHcorp1(const MappedFile& file,
 
 }  // namespace
 
-const char* CorpusFormatName(CorpusFormat format) {
-  switch (format) {
-    case CorpusFormat::kLegacy:
-      return "legacy";
-    case CorpusFormat::kHcorp1:
-      return "hcorp1";
+Status SaveProgs(const std::string& path, const std::vector<Prog>& progs) {
+  // The index (offsets, lengths, checksums) precedes the payloads, so each
+  // program is serialized twice: once here for its index entry and once
+  // when its bytes are written. Keeping the payloads between the two passes
+  // would hold a second copy of the corpus while the caller's program trees
+  // are still alive.
+  const uint64_t count = progs.size();
+  const uint64_t index_off = kHcorpHeaderBytes;
+  const uint64_t index_len = count * kHcorpEntryBytes;
+  const uint64_t payload_off =
+      (index_off + index_len + kHcorpPageSize - 1) & ~(kHcorpPageSize - 1);
+  std::vector<uint8_t> index;
+  index.reserve(index_len);
+  uint64_t payload_len = 0;
+  for (const Prog& prog : progs) {
+    const std::vector<uint8_t> bytes = SerializeProg(prog);
+    PutU64(&index, payload_len);
+    PutU32(&index, static_cast<uint32_t>(bytes.size()));
+    PutU32(&index, static_cast<uint32_t>(BytesHash(bytes.data(),
+                                                   bytes.size())));
+    payload_len += bytes.size();
   }
-  return "?";
-}
 
-Result<CorpusFormat> ParseCorpusFormat(const std::string& name) {
-  if (name == "legacy") {
-    return CorpusFormat::kLegacy;
-  }
-  if (name == "hcorp1") {
-    return CorpusFormat::kHcorp1;
-  }
-  return ParseError(StrFormat("unknown corpus format '%s' (expected "
-                              "'legacy' or 'hcorp1')",
-                              name.c_str()));
-}
+  // Header, index and zero padding to the payload page boundary.
+  std::vector<uint8_t> head;
+  head.reserve(payload_off);
+  head.insert(head.end(), kHcorpMagic, kHcorpMagic + 8);
+  PutU32(&head, kHcorpVersion);
+  PutU32(&head, static_cast<uint32_t>(kHcorpPageSize));
+  PutU64(&head, count);
+  PutU64(&head, index_off);
+  PutU64(&head, payload_off);
+  PutU64(&head, payload_len);
+  PutU64(&head, BytesHash(index.data(), index.size()));
+  PutU64(&head, BytesHash(head.data(), head.size()));
+  head.insert(head.end(), index.begin(), index.end());
+  head.resize(payload_off, 0);
 
-Status SaveProgs(const std::string& path, const std::vector<Prog>& progs,
-                 CorpusFormat format) {
-  switch (format) {
-    case CorpusFormat::kLegacy:
-      return SaveLegacy(path, progs);
-    case CorpusFormat::kHcorp1:
-      return SaveHcorp1(path, progs);
+  FilePtr file(std::fopen(path.c_str(), "wb"));
+  if (file == nullptr) {
+    return Internal(StrFormat("cannot open '%s' for writing", path.c_str()));
   }
-  return Internal("unknown corpus format");
+  // One deterministic byte stream: saving the same corpus twice produces
+  // byte-identical files (tests pin this).
+  if (std::fwrite(head.data(), head.size(), 1, file.get()) != 1) {
+    return Internal("short write");
+  }
+  for (const Prog& prog : progs) {
+    const std::vector<uint8_t> bytes = SerializeProg(prog);
+    if (!bytes.empty() &&
+        std::fwrite(bytes.data(), bytes.size(), 1, file.get()) != 1) {
+      return Internal("short write");
+    }
+  }
+  if (std::fflush(file.get()) != 0) {
+    return Internal("short write");
+  }
+  return OkStatus();
 }
 
 Result<std::vector<Prog>> LoadProgs(const std::string& path,

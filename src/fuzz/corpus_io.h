@@ -2,20 +2,16 @@
 // campaign can start from "an initial corpus provided by the user"
 // (Section 4) and corpora can be carried across runs.
 //
-// Two container formats (see DESIGN.md §11 for the layout diagram):
+// SaveProgs writes HCORP1 ("HCORP1\n\0"; DESIGN.md §11 has the layout): a
+// checksummed, page-aligned container built for instant warm restart — a
+// 64-byte header, a flat index of {offset, length, checksum} entries, zero
+// padding to a page boundary, then the packed program payloads. Loading is
+// a single mmap plus an index scan; no per-program reads, and the page
+// cache keeps repeat restarts effectively free.
 //
-//   kLegacy ("HCOR"): magic, u32 count, then per program u32 length +
-//     SerializeProg bytes. Loading re-reads the stream program by program.
-//
-//   kHcorp1 ("HCORP1\n\0"): a checksummed, page-aligned container built for
-//     instant warm restart — a 64-byte header, a flat index of
-//     {offset, length, checksum} entries, zero padding to a page boundary,
-//     then the packed program payloads. Loading is a single mmap plus an
-//     index scan; no per-program reads, and the page cache keeps repeat
-//     restarts effectively free.
-//
-// LoadProgs auto-detects the format from the magic, so --corpus-in accepts
-// either; --corpus-format picks what SaveProgs writes.
+// LoadProgs auto-detects the container from the magic and also reads the
+// legacy "HCOR" stream (magic, u32 count, then per program u32 length +
+// SerializeProg bytes), which is no longer written.
 
 #ifndef SRC_FUZZ_CORPUS_IO_H_
 #define SRC_FUZZ_CORPUS_IO_H_
@@ -29,17 +25,9 @@
 
 namespace healer {
 
-enum class CorpusFormat : uint8_t {
-  kLegacy = 0,
-  kHcorp1 = 1,
-};
-
-const char* CorpusFormatName(CorpusFormat format);
-// Parses "legacy" / "hcorp1" (the CLI flag values).
-Result<CorpusFormat> ParseCorpusFormat(const std::string& name);
-
-Status SaveProgs(const std::string& path, const std::vector<Prog>& progs,
-                 CorpusFormat format = CorpusFormat::kLegacy);
+// Writes `progs` as an HCORP1 container. Saving the same program sequence
+// twice produces byte-identical files.
+Status SaveProgs(const std::string& path, const std::vector<Prog>& progs);
 
 // Loads and validates programs against `target`; the container format is
 // auto-detected from the file magic. Programs that fail to decode or

@@ -88,14 +88,14 @@ std::vector<uint8_t> FuzzShard::EmitGossip() {
   }
 
   // Programs archived since the last emit (including imports — the relay),
-  // as the images the corpus stores.
+  // as the images the corpus stores, in as many seeds frames as the
+  // receiver's per-frame limits need: at most kGossipMaxSeeds programs and
+  // kGossipMaxPayload bytes each (a seeds payload is a u32 count, then a u32
+  // length before each image).
   const Corpus& corpus = fuzzer_->corpus();
   std::vector<std::vector<uint8_t>> blobs;
-  for (size_t i = corpus_cursor_; i < corpus.size(); ++i) {
-    blobs.push_back(corpus.at(i).bytes());
-  }
-  corpus_cursor_ = corpus.size();
-  if (!blobs.empty()) {
+  size_t payload_bytes = 4;
+  const auto flush_seeds = [&] {
     GossipFrame frame;
     frame.type = GossipFrameType::kSeeds;
     frame.origin = shard_id_;
@@ -103,6 +103,21 @@ std::vector<uint8_t> FuzzShard::EmitGossip() {
     frame.payload = EncodeSeedsPayload(blobs);
     AppendGossipFrame(frame, &out);
     ++stats_.frames_emitted;
+    blobs.clear();
+    payload_bytes = 4;
+  };
+  for (; corpus_cursor_ < corpus.size(); ++corpus_cursor_) {
+    const std::vector<uint8_t>& bytes = corpus.at(corpus_cursor_).bytes();
+    if (!blobs.empty() &&
+        (blobs.size() == kGossipMaxSeeds ||
+         payload_bytes + 4 + bytes.size() > kGossipMaxPayload)) {
+      flush_seeds();
+    }
+    blobs.push_back(bytes);
+    payload_bytes += 4 + bytes.size();
+  }
+  if (!blobs.empty()) {
+    flush_seeds();
   }
 
   stats_.gossip_bytes_out += out.size();
@@ -141,7 +156,9 @@ size_t FuzzShard::ApplyInbox() {
               return a.seq < b.seq;
             });
   for (const GossipFrame& frame : inbox_) {
-    ApplyFrame(frame);
+    if (!ApplyFrame(frame)) {
+      ++stats_.frames_dropped;
+    }
   }
   const size_t applied = inbox_.size();
   stats_.frames_applied += applied;
@@ -149,13 +166,13 @@ size_t FuzzShard::ApplyInbox() {
   return applied;
 }
 
-void FuzzShard::ApplyFrame(const GossipFrame& frame) {
+bool FuzzShard::ApplyFrame(const GossipFrame& frame) {
   switch (frame.type) {
     case GossipFrameType::kRelations: {
       Result<std::vector<WireRelationEdge>> edges = DecodeRelationsPayload(
           frame.payload, fuzzer_->relations().n());
       if (!edges.ok()) {
-        return;  // Malformed inner payload: drop the frame whole.
+        return false;  // Malformed inner payload: drop the frame whole.
       }
       RelationDelta delta;
       const SimClock::Nanos now = fuzzer_->clock().now();
@@ -173,7 +190,7 @@ void FuzzShard::ApplyFrame(const GossipFrame& frame) {
       Result<std::vector<WireCoverageWord>> words = DecodeCoveragePayload(
           frame.payload, coverage_shadow_.size());
       if (!words.ok()) {
-        return;
+        return false;
       }
       for (const WireCoverageWord& w : *words) {
         stats_.coverage_bits_imported +=
@@ -186,7 +203,7 @@ void FuzzShard::ApplyFrame(const GossipFrame& frame) {
       Result<std::vector<std::vector<uint8_t>>> blobs =
           DecodeSeedsPayload(frame.payload);
       if (!blobs.ok()) {
-        return;
+        return false;
       }
       // Validate every image before mutating the corpus: a frame either
       // applies whole or not at all (partial application would make shard
@@ -196,7 +213,7 @@ void FuzzShard::ApplyFrame(const GossipFrame& frame) {
       calls.reserve(blobs->size());
       for (const std::vector<uint8_t>& blob : *blobs) {
         if (!image.Decode(target_, blob.data(), blob.size()).ok()) {
-          return;
+          return false;
         }
         calls.push_back(image.calls().size());
       }
@@ -212,6 +229,7 @@ void FuzzShard::ApplyFrame(const GossipFrame& frame) {
       break;
     }
   }
+  return true;
 }
 
 bool FuzzShard::CheckRelationIdentity() const {

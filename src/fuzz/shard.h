@@ -53,6 +53,7 @@ struct ShardStats {
   uint64_t frames_emitted = 0;
   uint64_t frames_applied = 0;
   uint64_t frames_replayed = 0;   // Dropped by (origin, seq) dedup.
+  uint64_t frames_dropped = 0;    // Undecodable payload or invalid program.
   uint64_t gossip_bytes_out = 0;
   uint64_t relations_imported = 0;  // Apply() credits from gossip.
   uint64_t coverage_words_imported = 0;
@@ -107,7 +108,8 @@ class FuzzShard {
   uint64_t CorpusFingerprint() const;
 
  private:
-  void ApplyFrame(const GossipFrame& frame);
+  // Applies one frame whole, or drops it whole and returns false.
+  bool ApplyFrame(const GossipFrame& frame);
 
   const Target& target_;
   uint32_t shard_id_;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -173,15 +175,6 @@ TEST(BitmapTest, MergeNewCountsFreshBitsOnly) {
   EXPECT_EQ(a.MergeNew(b), 0u);  // Idempotent.
 }
 
-TEST(BitmapTest, HasNewBits) {
-  Bitmap a(64);
-  Bitmap b(64);
-  b.Set(10);
-  EXPECT_TRUE(a.HasNewBits(b));
-  a.MergeNew(b);
-  EXPECT_FALSE(a.HasNewBits(b));
-}
-
 TEST(BitmapTest, ClearResets) {
   Bitmap bitmap(64);
   bitmap.Set(3);
@@ -197,12 +190,6 @@ TEST(BitmapTest, MergeNewSizeMismatchAborts) {
   Bitmap b(256);
   EXPECT_DEATH(a.MergeNew(b), "bitmap size mismatch");
   EXPECT_DEATH(b.MergeNew(a), "bitmap size mismatch");
-}
-
-TEST(BitmapTest, HasNewBitsSizeMismatchAborts) {
-  Bitmap a(64);
-  Bitmap b(128);
-  EXPECT_DEATH(a.HasNewBits(b), "bitmap size mismatch");
 }
 
 TEST(BitmapTest, ConcurrentSetsCountEachBitOnce) {
@@ -258,47 +245,26 @@ TEST(BitmapTest, ConcurrentMergeNewCreditsExactly) {
   EXPECT_EQ(global.Count(), kBits);  // Stride-1 local covers everything.
 }
 
-TEST(BitmapTest, SummaryTracksOccupiedWords) {
-  Bitmap bitmap(64 * 128);  // 128 payload words -> 2 summary words.
-  ASSERT_EQ(bitmap.SummaryWords(), 2u);
-  EXPECT_EQ(bitmap.SummaryWord(0), 0u);
-  EXPECT_EQ(bitmap.SummaryWord(1), 0u);
-  bitmap.Set(0);            // Payload word 0.
-  bitmap.Set(5 * 64 + 7);   // Payload word 5.
-  bitmap.Set(70 * 64 + 1);  // Payload word 70 -> summary word 1, bit 6.
-  EXPECT_EQ(bitmap.SummaryWord(0), (1ULL << 0) | (1ULL << 5));
-  EXPECT_EQ(bitmap.SummaryWord(1), 1ULL << 6);
-}
-
-TEST(BitmapTest, MergeNewMarksSummaryInDestination) {
-  Bitmap a(256);
-  Bitmap b(256);
-  b.Set(130);  // Payload word 2.
-  EXPECT_EQ(a.MergeNew(b), 1u);
-  EXPECT_EQ(a.SummaryWord(0), 1ULL << 2);
-}
-
 TEST(BitmapTest, ClearResetsSummary) {
+  // The map must keep working after the reset: a merge after Clear credits
+  // every bit of the source again.
   Bitmap bitmap(64 * 100);
   for (size_t i = 0; i < bitmap.size_bits(); i += 64) {
     bitmap.Set(i);
   }
   bitmap.Clear();
-  for (size_t s = 0; s < bitmap.SummaryWords(); ++s) {
-    EXPECT_EQ(bitmap.SummaryWord(s), 0u) << "summary word " << s;
-  }
-  // A stale summary bit after Clear would make MergeNew/HasNewBits skip or
-  // revisit words incorrectly; the map must keep working after the reset.
   Bitmap other(64 * 100);
   other.Set(99);
-  EXPECT_TRUE(bitmap.HasNewBits(other));
   EXPECT_EQ(bitmap.MergeNew(other), 1u);
   EXPECT_TRUE(bitmap.Test(99));
+  EXPECT_EQ(bitmap.Count(), 1u);
 }
 
 TEST(BitmapTest, RandomizedMergeMatchesSetReference) {
-  // Property: the summary-guided MergeNew credits exactly the set-difference
-  // cardinality, is idempotent, and leaves Count() at the union size.
+  // Property: MergeNew credits exactly the set-difference cardinality, is
+  // idempotent, and leaves Count() at the union size; ForEachOccupiedWord
+  // yields exactly the reference's nonzero words, ascending; OrWord credits
+  // exactly the bits the word lacked.
   Rng rng(12345);
   for (int round = 0; round < 25; ++round) {
     const size_t bits = 64 * (1 + rng.Below(300));
@@ -319,7 +285,6 @@ TEST(BitmapTest, RandomizedMergeMatchesSetReference) {
     for (size_t b : inc_ref) {
       expected_fresh += acc_ref.count(b) ? 0 : 1;
     }
-    EXPECT_EQ(acc.HasNewBits(inc), expected_fresh != 0);
     EXPECT_EQ(acc.MergeNew(inc), expected_fresh);
     EXPECT_EQ(acc.MergeNew(inc), 0u);
     std::set<size_t> union_ref = acc_ref;
@@ -328,32 +293,36 @@ TEST(BitmapTest, RandomizedMergeMatchesSetReference) {
     for (size_t b : union_ref) {
       EXPECT_TRUE(acc.Test(b));
     }
-  }
-}
 
-TEST(BitmapTest, HasNewBitsDenseBlockPath) {
-  // 64 consecutive fully-set payload words make a summary word ~0, which
-  // routes HasNewBits through the branch-free OR-reduction path.
-  const size_t bits = 64 * 64 * 2;
-  Bitmap dense(bits);
-  for (size_t i = 0; i < 64 * 64; ++i) {
-    dense.Set(i);
-  }
-  ASSERT_EQ(dense.SummaryWord(0), ~0ULL);
-  Bitmap self(bits);
-  EXPECT_TRUE(self.HasNewBits(dense));
-  self.MergeNew(dense);
-  EXPECT_FALSE(self.HasNewBits(dense));
-  // A single missing bit deep inside the dense block is still detected.
-  Bitmap almost(bits);
-  for (size_t i = 0; i < 64 * 64; ++i) {
-    if (i != 2048) {
-      almost.Set(i);
+    std::vector<uint64_t> ref_words(bits / 64, 0);
+    for (size_t b : union_ref) {
+      ref_words[b / 64] |= 1ULL << (b % 64);
     }
+    std::vector<std::pair<size_t, uint64_t>> expected_words;
+    for (size_t w = 0; w < ref_words.size(); ++w) {
+      if (ref_words[w] != 0) {
+        expected_words.emplace_back(w, ref_words[w]);
+      }
+    }
+    std::vector<std::pair<size_t, uint64_t>> occupied;
+    acc.ForEachOccupiedWord(
+        [&](size_t idx, uint64_t value) { occupied.emplace_back(idx, value); });
+    EXPECT_EQ(occupied, expected_words);
+
+    for (int k = 0; k < 8; ++k) {
+      const size_t w = rng.Below(ref_words.size());
+      const uint64_t value = rng.Next() & rng.Next();
+      const size_t fresh =
+          static_cast<size_t>(std::popcount(value & ~ref_words[w]));
+      const size_t count_before = acc.Count();
+      EXPECT_EQ(acc.OrWord(w, value), fresh);
+      EXPECT_EQ(acc.OrWord(w, value), 0u);
+      EXPECT_EQ(acc.Count(), count_before + fresh);
+      ref_words[w] |= value;
+      EXPECT_EQ(acc.Word(w), ref_words[w]);
+    }
+    EXPECT_EQ(acc.OrWord(ref_words.size(), ~0ULL), 0u);  // Out of range.
   }
-  EXPECT_TRUE(almost.HasNewBits(dense));
-  EXPECT_EQ(almost.MergeNew(dense), 1u);
-  EXPECT_FALSE(almost.HasNewBits(dense));
 }
 
 // ---- Hash ----

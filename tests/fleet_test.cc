@@ -9,6 +9,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/event_loop.h"
@@ -81,8 +82,8 @@ TEST(EventLoopTest, TimersFireInDeadlineThenArmOrder) {
 
 TEST(EventLoopTest, DeadlinesCascadeAcrossWheelLevels) {
   EventLoop loop;
-  // 64 level-0 ticks per level: 50ms lives in level 0, 90s in level 2 and
-  // 2 simulated hours in level 3+. All must fire at their exact deadline.
+  // Deadlines five orders of magnitude apart (50ms, 90s, 2 simulated
+  // hours) must each fire at their exact deadline.
   std::vector<SimClock::Nanos> fired;
   const std::vector<SimClock::Nanos> deadlines = {
       50 * SimClock::kMillisecond, 90 * SimClock::kSecond,
@@ -98,21 +99,49 @@ TEST(EventLoopTest, DeadlinesCascadeAcrossWheelLevels) {
 
 TEST(EventLoopTest, PostsRunFifoAndSignalsCoalesce) {
   EventLoop loop;
-  std::vector<int> order;
   int handler_runs = 0;
   const size_t source = loop.AddCompletionSource([&] { ++handler_runs; });
-  loop.Post([&] { order.push_back(1); });
-  loop.Post([&] { order.push_back(2); });
   // Three rings before the pump coalesce into one invocation (eventfd
   // semantics).
   loop.SignalCompletion(source);
   loop.SignalCompletion(source);
   loop.SignalCompletion(source);
-  loop.PumpReady();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(loop.RunUntil(loop.now()), 1u);
   EXPECT_EQ(handler_runs, 1);
-  loop.PumpReady();  // No pending signal: handler must not rerun.
+  loop.RunUntil(loop.now());  // No pending signal: handler must not rerun.
   EXPECT_EQ(handler_runs, 1);
+}
+
+TEST(EventLoopTest, RandomSchedulesDispatchInDeadlineThenArmOrder) {
+  // ~300 timers over a few simulated milliseconds, with colliding and
+  // sub-millisecond deadlines, pumped with horizons that cut through
+  // milliseconds: every timer fires at its own deadline, in exactly
+  // (deadline, arm) order.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    EventLoop loop;
+    Rng rng(seed);
+    std::vector<std::pair<SimClock::Nanos, int>> armed;
+    std::vector<std::pair<SimClock::Nanos, int>> fired;
+    for (int i = 0; i < 300; ++i) {
+      const SimClock::Nanos deadline =
+          rng.Below(8) * SimClock::kMillisecond +
+          rng.Below(4) * 250 * SimClock::kMicrosecond;
+      armed.emplace_back(deadline, i);
+      loop.ScheduleAt(deadline, [&fired, &loop, deadline, i] {
+        EXPECT_EQ(loop.now(), deadline);
+        fired.emplace_back(deadline, i);
+      });
+    }
+    std::sort(armed.begin(), armed.end());
+    SimClock::Nanos horizon = 0;
+    while (loop.pending_timers() != 0) {
+      horizon += 300 * SimClock::kMicrosecond;
+      loop.RunUntil(horizon);
+      EXPECT_EQ(loop.now(), horizon);
+    }
+    EXPECT_EQ(fired, armed) << "seed " << seed;
+    EXPECT_EQ(loop.dispatched(), armed.size());
+  }
 }
 
 TEST(EventLoopTest, SameScheduleSameDispatchOrder) {

@@ -259,7 +259,7 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
 TEST(Hcorp1Test, RoundTripsByteIdentically) {
   const std::vector<Prog> corpus = SampleCorpus(24, 7);
   const std::string path = "/tmp/healer_hcorp1_roundtrip.bin";
-  ASSERT_TRUE(SaveProgs(path, corpus, CorpusFormat::kHcorp1).ok());
+  ASSERT_TRUE(SaveProgs(path, corpus).ok());
 
   size_t skipped = 77;
   Result<std::vector<Prog>> loaded =
@@ -272,14 +272,14 @@ TEST(Hcorp1Test, RoundTripsByteIdentically) {
   // Re-saving the loaded corpus reproduces the file byte for byte — the
   // container is a deterministic function of the program sequence.
   const std::string path2 = "/tmp/healer_hcorp1_roundtrip2.bin";
-  ASSERT_TRUE(SaveProgs(path2, *loaded, CorpusFormat::kHcorp1).ok());
+  ASSERT_TRUE(SaveProgs(path2, *loaded).ok());
   EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(path2));
 }
 
 TEST(Hcorp1Test, HeaderIsPageAlignedAndChecksummed) {
   const std::vector<Prog> corpus = SampleCorpus(10, 11);
   const std::string path = "/tmp/healer_hcorp1_header.bin";
-  ASSERT_TRUE(SaveProgs(path, corpus, CorpusFormat::kHcorp1).ok());
+  ASSERT_TRUE(SaveProgs(path, corpus).ok());
   const std::vector<uint8_t> bytes = ReadFileBytes(path);
   ASSERT_GE(bytes.size(), 64u);
   EXPECT_EQ(std::memcmp(bytes.data(), "HCORP1\n\0", 8), 0);
@@ -296,8 +296,24 @@ TEST(Hcorp1Test, AutoDetectionLoadsBothFormatsIdentically) {
   const std::vector<Prog> corpus = SampleCorpus(16, 23);
   const std::string legacy_path = "/tmp/healer_corpus_fmt_legacy.bin";
   const std::string hcorp_path = "/tmp/healer_corpus_fmt_hcorp1.bin";
-  ASSERT_TRUE(SaveProgs(legacy_path, corpus, CorpusFormat::kLegacy).ok());
-  ASSERT_TRUE(SaveProgs(hcorp_path, corpus, CorpusFormat::kHcorp1).ok());
+  // The legacy HCOR stream is only read now, so the test writes it: magic,
+  // u32 count, then per program u32 length + SerializeProg bytes.
+  std::vector<uint8_t> legacy = {'H', 'C', 'O', 'R'};
+  const auto put_u32 = [&legacy](size_t v) {
+    for (int i = 0; i < 4; ++i) {
+      legacy.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  put_u32(corpus.size());
+  for (const std::vector<uint8_t>& blob : Serialized(corpus)) {
+    put_u32(blob.size());
+    legacy.insert(legacy.end(), blob.begin(), blob.end());
+  }
+  std::FILE* f = std::fopen(legacy_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(legacy.data(), legacy.size(), 1, f), 1u);
+  std::fclose(f);
+  ASSERT_TRUE(SaveProgs(hcorp_path, corpus).ok());
   // Same LoadProgs call, no format hint: the magic probe must route each
   // file to its decoder.
   Result<std::vector<Prog>> from_legacy =
@@ -312,23 +328,11 @@ TEST(Hcorp1Test, AutoDetectionLoadsBothFormatsIdentically) {
 
 TEST(Hcorp1Test, EmptyCorpusRoundTrips) {
   const std::string path = "/tmp/healer_hcorp1_empty.bin";
-  ASSERT_TRUE(SaveProgs(path, {}, CorpusFormat::kHcorp1).ok());
+  ASSERT_TRUE(SaveProgs(path, {}).ok());
   Result<std::vector<Prog>> loaded =
       LoadProgs(path, BuiltinTarget(), nullptr);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->empty());
-}
-
-TEST(Hcorp1Test, FormatNamesParseAndPrint) {
-  EXPECT_STREQ(CorpusFormatName(CorpusFormat::kLegacy), "legacy");
-  EXPECT_STREQ(CorpusFormatName(CorpusFormat::kHcorp1), "hcorp1");
-  Result<CorpusFormat> legacy = ParseCorpusFormat("legacy");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(*legacy, CorpusFormat::kLegacy);
-  Result<CorpusFormat> hcorp = ParseCorpusFormat("hcorp1");
-  ASSERT_TRUE(hcorp.ok());
-  EXPECT_EQ(*hcorp, CorpusFormat::kHcorp1);
-  EXPECT_FALSE(ParseCorpusFormat("hcorp2").ok());
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include <set>
 
 #include "src/base/hash.h"
+#include "src/base/rng.h"
 #include "src/fuzz/gossip.h"
+#include "src/fuzz/prog_builder.h"
 #include "src/fuzz/shard.h"
 #include "src/prog/serialize.h"
 #include "src/syzlang/builtin_descs.h"
@@ -312,6 +314,7 @@ TEST(ShardedCampaignTest, SeedsFrameWithOneInvalidBlobAppliesNothing) {
   EXPECT_EQ(receiver.fuzzer().corpus().size(), corpus_before);
   EXPECT_EQ(receiver.stats().seeds_imported, before.seeds_imported);
   EXPECT_EQ(receiver.stats().seeds_duplicate, before.seeds_duplicate);
+  EXPECT_EQ(receiver.stats().frames_dropped, 1u);
 
   // The same programs without the bad blob land.
   deliver(good, 1);
@@ -321,6 +324,55 @@ TEST(ShardedCampaignTest, SeedsFrameWithOneInvalidBlobAppliesNothing) {
   EXPECT_EQ(receiver.fuzzer().corpus().size(),
             corpus_before + receiver.stats().seeds_imported -
                 before.seeds_imported);
+  EXPECT_EQ(receiver.stats().frames_dropped, 1u);
+}
+
+// More new programs than one seeds frame may carry (kGossipMaxSeeds) still
+// all reach the peer: the emit splits them over several frames.
+TEST(ShardedCampaignTest, LargeSeedBatchSplitsAcrossFrames) {
+  const Target& target = BuiltinTarget();
+  FuzzerOptions base;
+  base.num_vms = 2;
+  FuzzShard origin(target, base, 0);
+  std::vector<int> ids;
+  for (const auto& call : target.syscalls()) {
+    ids.push_back(call->id);
+  }
+  Rng rng(5);
+  ProgBuilder builder(target, ids, &rng);
+  const auto choose = [&](const std::vector<int>&) {
+    return ids[rng.Below(ids.size())];
+  };
+  constexpr size_t kPrograms = 1500;
+  static_assert(kPrograms > kGossipMaxSeeds);
+  ASSERT_TRUE(origin.fuzzer().corpus().empty());
+  size_t added = 0;
+  while (added < kPrograms) {
+    Prog prog = builder.Generate(choose, 1 + added % 7);
+    if (!prog.empty() && prog.Validate().ok() &&
+        origin.fuzzer().mutable_corpus()->Add(prog, 1)) {
+      ++added;
+    }
+  }
+
+  const std::vector<uint8_t> batch = origin.EmitGossip();
+  Result<std::vector<GossipFrame>> frames =
+      DecodeGossipStream(batch.data(), batch.size());
+  ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+  size_t seed_frames = 0;
+  for (const GossipFrame& frame : *frames) {
+    seed_frames += frame.type == GossipFrameType::kSeeds ? 1 : 0;
+  }
+  EXPECT_EQ(seed_frames, 2u);
+
+  FuzzerOptions peer_options = base;
+  peer_options.seed = 31;
+  FuzzShard peer(target, peer_options, 1);
+  ASSERT_TRUE(peer.Ingest(batch.data(), batch.size()).ok());
+  peer.ApplyInbox();
+  EXPECT_EQ(peer.stats().seeds_imported + peer.stats().seeds_duplicate,
+            kPrograms);
+  EXPECT_EQ(peer.stats().frames_dropped, 0u);
 }
 
 TEST(ShardedCampaignTest, CanonicalRelationBytesIgnoreLearnOrder) {

@@ -547,7 +547,7 @@ std::vector<uint8_t> SampleHcorp1(const std::string& path) {
                              &rng));
   progs.push_back(BuildChain(target, ids, {"memfd_create", "write$memfd"},
                              &rng));
-  EXPECT_TRUE(SaveProgs(path, progs, CorpusFormat::kHcorp1).ok());
+  EXPECT_TRUE(SaveProgs(path, progs).ok());
   return ReadFileBytes(path);
 }
 

@@ -2,11 +2,8 @@
 //
 //   healer fuzz   [--tool healer|healer-|syzkaller|moonshine]
 //                 [--version 4.19|5.0|5.4|5.6|5.11] [--hours H] [--seed N]
-//                 [--corpus-in FILE] [--corpus-out FILE]
-//                 [--corpus-format hcorp1|legacy]  # container written by
-//                                          # --corpus-out (loading
-//                                          # auto-detects; hcorp1 is the
-//                                          # mmap-able warm-start format)
+//                 [--corpus-in FILE]       # HCORP1 or legacy HCOR
+//                 [--corpus-out FILE]      # written as HCORP1
 //                 [--relations-in FILE]    # warm-start the relation table
 //                 [--relations-out FILE]   # save learned relations
 //                 [--curve] [--edges]
@@ -40,6 +37,7 @@
 //   healer bugs   [--version V]                   # list live injected bugs
 //   healer shard  --shard-index I --shards N --gossip-dir DIR
 //                 [--rounds R] [--execs-per-round E] [--fanout F] [--seed S]
+//                 [--poll-timeout SECS] [--tool T] [--version V]
 //                 # one shard as an OS process; gossip batches travel as
 //                 # files in DIR (r{round}_s{from}_to{to}.gsp, written
 //                 # tmp+rename, polled by the receiver). Run N of these
@@ -47,6 +45,7 @@
 //   healer reconcile --shards N --gossip-dir DIR
 //                 # union the shard{I}.rel canonical tables written by
 //                 # `healer shard` and print the reconciled hash
+//                 # (shard and reconcile check flags like fuzz does)
 
 #include <sys/stat.h>
 
@@ -311,15 +310,32 @@ bool WaitReadFile(const std::string& path, double timeout_secs,
 }
 
 int CmdShard(const Flags& flags) {
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-  const size_t n = static_cast<size_t>(
-      std::strtoull(get("shards", "0").c_str(), nullptr, 10));
-  const size_t me = static_cast<size_t>(
-      std::strtoull(get("shard-index", "0").c_str(), nullptr, 10));
-  const std::string dir = get("gossip-dir", "");
+  if (!OnlyFlags(flags, "shard",
+                 {"shard-index", "shards", "gossip-dir", "rounds",
+                  "execs-per-round", "fanout", "seed", "poll-timeout", "tool",
+                  "version"})) {
+    return 2;
+  }
+  size_t n = 0;
+  size_t me = 0;
+  size_t rounds = 0;
+  size_t execs = 0;
+  size_t fanout = 0;
+  double timeout = 0.0;
+  FuzzerOptions base;
+  if (!UintFlag(flags, "shards", size_t{0}, kMaxShards, &n) ||
+      !UintFlag(flags, "shard-index", size_t{0}, kMaxShards, &me) ||
+      !UintFlag(flags, "rounds", size_t{8}, 1 << 20, &rounds) ||
+      !UintFlag(flags, "execs-per-round", size_t{128}, 1 << 30, &execs) ||
+      !UintFlag(flags, "fanout", size_t{1}, kMaxShards, &fanout) ||
+      !UintFlag(flags, "seed", uint64_t{1}, UINT64_MAX, &base.seed) ||
+      !RealFlag(flags, "poll-timeout", 120.0, &timeout) ||
+      !ParseToolFlag(flags, &base.tool) ||
+      !ParseVersionFlag(flags, &base.version)) {
+    return 2;
+  }
+  const auto dir_it = flags.find("gossip-dir");
+  const std::string dir = dir_it == flags.end() ? "" : dir_it->second;
   if (n < 1 || me >= n || dir.empty()) {
     std::fprintf(stderr,
                  "usage: healer shard --shard-index I --shards N "
@@ -330,23 +346,9 @@ int CmdShard(const Flags& flags) {
     std::fprintf(stderr, "cannot create %s\n", dir.c_str());
     return 1;
   }
-  const size_t rounds = static_cast<size_t>(
-      std::strtoull(get("rounds", "8").c_str(), nullptr, 10));
-  const size_t execs = static_cast<size_t>(
-      std::strtoull(get("execs-per-round", "128").c_str(), nullptr, 10));
-  const size_t fanout = static_cast<size_t>(
-      std::strtoull(get("fanout", "1").c_str(), nullptr, 10));
-  const double timeout = std::atof(get("poll-timeout", "120").c_str());
-
-  FuzzerOptions base;
-  if (!ParseToolFlag(flags, &base.tool) ||
-      !ParseVersionFlag(flags, &base.version)) {
-    return 2;
-  }
   // Same seed schedule as the in-process campaign: shard i fuzzes with
   // seed + i, so an N-process run reproduces `fuzz --shards N --sequential`.
-  base.seed =
-      std::strtoull(get("seed", "1").c_str(), nullptr, 10) + me;
+  base.seed += me;
 
   const Target& target = BuiltinTarget();
   FuzzShard shard(target, base, static_cast<uint32_t>(me));
@@ -423,13 +425,13 @@ int CmdShard(const Flags& flags) {
 }
 
 int CmdReconcile(const Flags& flags) {
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-  const size_t n = static_cast<size_t>(
-      std::strtoull(get("shards", "0").c_str(), nullptr, 10));
-  const std::string dir = get("gossip-dir", "");
+  size_t n = 0;
+  if (!OnlyFlags(flags, "reconcile", {"shards", "gossip-dir"}) ||
+      !UintFlag(flags, "shards", size_t{0}, kMaxShards, &n)) {
+    return 2;
+  }
+  const auto dir_it = flags.find("gossip-dir");
+  const std::string dir = dir_it == flags.end() ? "" : dir_it->second;
   if (n < 1 || dir.empty()) {
     std::fprintf(stderr,
                  "usage: healer reconcile --shards N --gossip-dir DIR\n");
@@ -488,7 +490,7 @@ int CmdFuzz(const Flags& flags) {
   }
   if (!OnlyFlags(flags, "fuzz",
                  {"shards", "tool", "version", "hours", "seed", "corpus-in",
-                  "corpus-out", "corpus-format", "relations-in",
+                  "corpus-out", "relations-in",
                   "relations-out", "curve", "edges", "fault-rate", "faults",
                   "fault-retries", "fleet-size", "fleet-shards",
                   "status-period", "metrics-out", "trace-out", "journal-out",
@@ -509,16 +511,6 @@ int CmdFuzz(const Flags& flags) {
   }
   options.initial_corpus_path = get("corpus-in", "");
   options.save_corpus_path = get("corpus-out", "");
-  {
-    Result<CorpusFormat> format =
-        ParseCorpusFormat(get("corpus-format", "legacy"));
-    if (!format.ok()) {
-      std::fprintf(stderr, "bad --corpus-format: %s\n",
-                   format.status().ToString().c_str());
-      return 2;
-    }
-    options.corpus_format = *format;
-  }
   options.initial_relations_path = get("relations-in", "");
   options.save_relations_path = get("relations-out", "");
 
